@@ -9,14 +9,19 @@
 // assembly stage in isolation on the same edge multiset in generator
 // emission order. Also reports bytes/vertex before (fixed 8-byte offsets)
 // and after (width-adaptive offsets), and cross-checks that 1-thread and
-// T-thread assemblies produce identical graphs.
+// T-thread assemblies produce identical graphs. random_regular has one
+// sampler and no builder stage, so its rows time that sampler alone at
+// r in {3, 4, 6, 8} (min and median over repeats of the same seed, which
+// must rebuild the identical graph), plus the connectivity check that
+// connected_random_regular adds. The JSON header records the host: core
+// count, CPU model and build provenance.
 //
 //   ./micro_graphgen [--scale small|medium|large] [--threads T] [--seed S]
 //                    [--out BENCH_graphgen.json]
 //
-// --scale large runs the ISSUE sizes n=2^20 and n=2^22; small keeps CI
-// under seconds. --threads defaults to max(4, hardware_concurrency).
-// Exit status: 1 if any thread-count determinism cross-check fails.
+// --scale large runs n=2^20 and n=2^22; small keeps CI under seconds.
+// --threads defaults to max(4, hardware_concurrency).
+// Exit status: 1 if any determinism cross-check fails.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -27,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/analysis.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -34,6 +40,7 @@
 #include "graph/stream.hpp"
 #include "graph/weights.hpp"
 #include "rand/rng.hpp"
+#include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/scale.hpp"
 #include "util/stopwatch.hpp"
@@ -101,6 +108,59 @@ double timed_ms(const std::function<void()>& fn) {
   Stopwatch watch;
   fn();
   return watch.seconds() * 1e3;
+}
+
+/// Rebuilds per random_regular row; min and median are taken over them.
+constexpr int kRegularRepeats = 3;
+
+/// random_regular row: the sampler alone at one (n, r), min and median
+/// over kRegularRepeats rebuilds from the same seed.
+struct RegularRow {
+  std::size_t n = 0;
+  std::size_t r = 0;
+  std::size_t edges = 0;
+  double build_ms_min = 0;
+  double build_ms_median = 0;
+  double connected_ms = 0;  ///< is_connected on the built graph
+  bool connected = false;
+  bool deterministic = false;  ///< every repeat built the identical graph
+};
+
+RegularRow measure_regular(std::size_t n, std::size_t r,
+                           std::uint64_t seed) {
+  RegularRow row;
+  row.n = n;
+  row.r = r;
+  row.deterministic = true;
+  std::vector<double> times;
+  Graph first;
+  for (int i = 0; i < kRegularRepeats; ++i) {
+    Rng rng(seed);
+    Graph g;
+    times.push_back(timed_ms([&] { g = gen::random_regular(n, r, rng); }));
+    if (i == 0) {
+      first = std::move(g);
+    } else {
+      row.deterministic &= same_graph(first, g);
+    }
+  }
+  std::sort(times.begin(), times.end());
+  row.build_ms_min = times.front();
+  row.build_ms_median = times[times.size() / 2];
+  row.edges = first.num_edges();
+  row.connected_ms = timed_ms([&] { row.connected = is_connected(first); });
+  return row;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) return line.substr(colon + 2);
+  }
+  return "unknown";
 }
 
 /// Weighted-substrate row: synthetic weight generation, alias-table
@@ -292,29 +352,6 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const std::size_t n : {n_small, n_large}) {
-    // random_regular(r=8): keyed parallel pairing vs the serial
-    // Fisher-Yates oracle — distributionally equivalent (chi-square
-    // compared in tests/substrate_test.cpp), not bitwise, so only the
-    // wall-clock is compared here.
-    {
-      Row row;
-      row.family = "random_regular";
-      row.n = n;
-      GraphBuilder::set_default_threads(1);
-      Rng serial_rng(seed);
-      row.gen_serial_ms = timed_ms(
-          [&] { gen::random_regular_serial(n, 8, serial_rng); });
-      GraphBuilder::set_default_threads(threads);
-      Rng parallel_rng(seed);
-      Graph parallel_graph;
-      row.gen_parallel_ms = timed_ms(
-          [&] { parallel_graph = gen::random_regular(n, 8, parallel_rng); });
-      row.edges = parallel_graph.num_edges();
-      const auto edges = extract_edges(parallel_graph, seed ^ 0x9e37);
-      parallel_graph = Graph();
-      measure_assembly(row, n, edges, threads);
-      rows.push_back(std::move(row));
-    }
     // erdos_renyi(p = 8/n): restructured sampler (per-chunk streams).
     {
       Row row;
@@ -365,6 +402,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<RegularRow> regular_rows;
+  for (const std::size_t n : {n_small, n_large}) {
+    for (const std::size_t r : {3, 4, 6, 8}) {
+      regular_rows.push_back(measure_regular(n, r, seed));
+    }
+  }
+
   // Weighted substrate: weight synthesis + alias build + draw costs on
   // the random_regular instances.
   std::vector<WeightedRow> weighted_rows;
@@ -383,6 +427,9 @@ int main(int argc, char** argv) {
 
   bool all_deterministic = true;
   for (const Row& row : rows) all_deterministic &= row.deterministic;
+  for (const RegularRow& row : regular_rows) {
+    all_deterministic &= row.deterministic;
+  }
   for (const StreamRow& row : stream_rows) all_deterministic &= row.identical;
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -391,12 +438,30 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"graphgen\",\n  \"scale\": \"%s\",\n"
-               "  \"threads\": %zu,\n  \"seed\": %llu,\n  \"rows\": [\n",
-               scale.name().c_str(), threads,
-               static_cast<unsigned long long>(seed));
+               "{\n  \"bench\": \"graphgen\",\n"
+               "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\", "
+               "\"build\": \"%s\"},\n"
+               "  \"scale\": \"%s\",\n  \"threads\": %zu,\n"
+               "  \"seed\": %llu,\n  \"repeats\": %d,\n  \"rows\": [\n",
+               std::thread::hardware_concurrency(), cpu_model().c_str(),
+               build_info_string().c_str(), scale.name().c_str(), threads,
+               static_cast<unsigned long long>(seed), kRegularRepeats);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     emit_row(f, rows[i], i + 1 == rows.size());
+  }
+  std::fprintf(f, "  ],\n  \"regular_rows\": [\n");
+  for (std::size_t i = 0; i < regular_rows.size(); ++i) {
+    const RegularRow& row = regular_rows[i];
+    std::fprintf(f,
+                 "    {\"family\": \"random_regular\", \"n\": %zu, "
+                 "\"r\": %zu, \"edges\": %zu, \"build_ms_min\": %.1f, "
+                 "\"build_ms_median\": %.1f,\n     \"connected_ms\": %.1f, "
+                 "\"connected\": %s, \"deterministic\": %s}%s\n",
+                 row.n, row.r, row.edges, row.build_ms_min,
+                 row.build_ms_median, row.connected_ms,
+                 row.connected ? "true" : "false",
+                 row.deterministic ? "true" : "false",
+                 i + 1 == regular_rows.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n  \"weighted_rows\": [\n");
   for (std::size_t i = 0; i < weighted_rows.size(); ++i) {
@@ -441,6 +506,13 @@ int main(int argc, char** argv) {
                 row.gen_parallel_ms, row.gen_speedup(), row.asm_serial_ms,
                 row.asm_parallel_ms, row.asm_speedup(),
                 row.bytes_per_vertex_before, row.bytes_per_vertex_after,
+                row.deterministic ? "" : "  DETERMINISM BROKEN");
+  }
+  std::printf("%-16s %10s %4s %12s %12s %12s\n", "random_regular", "n", "r",
+              "build_min_ms", "build_med_ms", "connected_ms");
+  for (const RegularRow& row : regular_rows) {
+    std::printf("%-16s %10zu %4zu %12.1f %12.1f %12.1f%s\n", "", row.n, row.r,
+                row.build_ms_min, row.build_ms_median, row.connected_ms,
                 row.deterministic ? "" : "  DETERMINISM BROKEN");
   }
   std::printf("%-16s %10s %12s %12s %14s %14s\n", "weighted", "n",

@@ -640,11 +640,4 @@ Graph GraphBuilder::finish_serial(std::string name, bool allow_duplicates) {
   return Graph(std::move(offsets), std::move(adjacency), std::move(name));
 }
 
-Graph build_simple_edges(std::size_t n,
-                         std::vector<std::pair<Vertex, Vertex>> edges,
-                         std::string name) {
-  return assemble_dispatch(n, edges, std::move(name),
-                           /*allow_duplicates=*/false);
-}
-
 }  // namespace cobra

@@ -1,20 +1,25 @@
 // SPDX-License-Identifier: MIT
 //
 // Mutable edge-list accumulator that validates and freezes into an
-// immutable CSR Graph. All generators and file readers construct graphs
-// through this class, so the CSR invariants (sorted neighbour lists, no
-// self-loops, no multi-edges, symmetric adjacency) are established in
-// exactly one place.
+// immutable CSR Graph. Most generators and the edge-list reader construct
+// graphs through this class, which establishes the CSR invariants (sorted
+// neighbour lists, no self-loops, no multi-edges, symmetric adjacency).
+// Three paths build their CSR directly and check the invariants
+// themselves: random_regular's fixed-degree slot CSR and the out-of-core
+// shard assembler (graph/stream.cpp), both through the builder's
+// per-vertex sort (detail::sort_neighbour_list), and the .cgr loaders
+// (graph/io_binary.cpp).
 //
 // build()/build_dedup() assemble the CSR with a two-pass count/scatter
-// algorithm parallelized on the sim/ thread pool: degree counting and
-// endpoint scattering claim edge chunks with relaxed atomic adds, then
-// per-vertex neighbour sorts (which also detect duplicates as adjacent
-// equal entries) run over vertex chunks. No global edge sort is performed,
-// which is what makes assembly several times faster than the legacy path
-// even single-threaded. Because the finished CSR is canonical (sorted
-// neighbourhoods), the result is bitwise-identical whatever the thread
-// count or scatter interleaving.
+// algorithm parallelized on the sim/ thread pool: edge chunks histogram
+// their endpoints per vertex bucket, an exclusive prefix gives every chunk
+// a private slot range in every bucket, so the scatter needs no atomics,
+// then per-vertex neighbour sorts (which also detect duplicates as
+// adjacent equal entries) run per bucket. No global edge sort is
+// performed, which is what makes assembly several times faster than the
+// legacy path even single-threaded. Because the finished CSR is canonical
+// (sorted neighbourhoods), the result is bitwise-identical whatever the
+// thread count or scatter interleaving.
 //
 // build_serial()/build_dedup_serial() keep the original sort-based
 // assembly verbatim — the parity oracle for tests and the baseline that
@@ -102,23 +107,12 @@ class GraphBuilder {
   std::vector<std::pair<Vertex, Vertex>> edges_;
 };
 
-/// Freezes a pre-validated simple edge set (endpoints < n, no self-loops,
-/// no duplicate undirected edges) straight into CSR via the parallel
-/// two-pass assembly — the fast path for samplers that established
-/// simplicity already (configuration-model pairings, G(n,p) skip
-/// sequences). A duplicate still throws std::invalid_argument (the
-/// per-vertex sort pass detects it for free); self-loops/out-of-range
-/// endpoints are the caller's contract.
-Graph build_simple_edges(std::size_t n,
-                         std::vector<std::pair<Vertex, Vertex>> edges,
-                         std::string name);
-
 namespace detail {
 /// The builder's canonical per-vertex neighbour sort (sorting networks for
 /// tiny degrees, insertion sort mid-range, std::sort above), exposed for
-/// the out-of-core shard assembler (graph/stream.cpp) so streamed CSR
-/// bytes match in-core builds exactly. Returns true if the sorted range
-/// contains a duplicate.
+/// the out-of-core shard assembler (graph/stream.cpp), so streamed CSR
+/// bytes match in-core builds exactly, and for random_regular's slot CSR.
+/// Returns true if the sorted range contains a duplicate.
 bool sort_neighbour_list(Vertex* first, Vertex* last);
 }  // namespace detail
 

@@ -2,13 +2,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -16,8 +12,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/stream.hpp"
-#include "rand/sampling.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace cobra::gen {
 
@@ -29,226 +23,153 @@ std::uint64_t edge_key(Vertex u, Vertex v) noexcept {
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
-/// One configuration-model pairing: shuffles n*r stubs and pairs them.
-std::vector<std::pair<Vertex, Vertex>> random_pairing(std::size_t n,
-                                                      std::size_t r,
-                                                      Rng& rng) {
-  std::vector<Vertex> stubs;
-  stubs.reserve(n * r);
-  for (Vertex v = 0; v < n; ++v) {
-    for (std::size_t i = 0; i < r; ++i) stubs.push_back(v);
-  }
-  shuffle(std::span<Vertex>(stubs), rng);
-  std::vector<std::pair<Vertex, Vertex>> edges;
-  edges.reserve(stubs.size() / 2);
-  for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-    edges.emplace_back(stubs[i], stubs[i + 1]);
-  }
-  return edges;
-}
-
-/// Below this many stubs the keyed pairing runs serially — pool spin-up
-/// would dominate the key draws and the bucket sort.
-constexpr std::size_t kParallelStubThreshold = 1 << 15;
-/// Fixed chunk size for the key-drawing passes: chunk c draws from
-/// Rng::for_trial(master, c), so chunk boundaries must not depend on the
-/// thread count or the sample would.
-constexpr std::size_t kStubChunk = 1 << 15;
-
-/// Scoped pool for one pairing, honouring the same global knob as graph
-/// assembly (GraphBuilder::set_default_threads): workers = threads-1, the
-/// calling thread participates, or no pool at all for small problems.
-class GenPool {
+/// random_regular's working graph: a fixed-degree slot CSR in which vertex
+/// v owns slots [v*r, v*r + r) of `adj_`, kept sorted per block. A loop at
+/// v shows as two entries v in v's block and a multi-edge as adjacent
+/// equal entries, so defects are found and removed without any hash set.
+class SlotGraph {
  public:
-  explicit GenPool(std::size_t work_items) {
-    std::size_t threads = GraphBuilder::default_threads();
-    if (threads == 0) {
-      threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  SlotGraph(std::size_t n, std::size_t r)
+      : n_(n), r_(r), adj_(n * r), stubs_(n * r) {}
+
+  /// Draws a uniform configuration-model pairing of the n*r stubs: a
+  /// Fisher-Yates shuffle run two slots at a time, in which the last
+  /// unpaired stub s takes a uniformly random partner t among the others,
+  /// and the edge {s/r, t/r} goes straight into the two blocks. That is
+  /// half the draws of shuffling all stubs and pairing neighbours, with
+  /// the same law. With `stop_at_defect` it returns false at the first
+  /// loop or multi-edge, a pairing that could not end simple, so redrawing
+  /// stays exact rejection. Otherwise it sorts every block, lists those
+  /// holding an adjacent equal pair (a loop or a multi-edge) and returns
+  /// whether the pairing is simple.
+  bool pair_stubs(Rng& rng, bool stop_at_defect) {
+    std::iota(stubs_.begin(), stubs_.end(), Vertex{0});
+    if (stop_at_defect) std::fill(adj_.begin(), adj_.end(), kUnpaired);
+    const auto r = static_cast<Vertex>(r_);
+    for (std::size_t end = stubs_.size(); end > 0; end -= 2) {
+      const Vertex s = stubs_[end - 1];
+      const std::uint32_t j =
+          rng.next_below32(static_cast<std::uint32_t>(end - 1));
+      const Vertex t = stubs_[j];
+      stubs_[j] = stubs_[end - 2];
+      const Vertex u = s / r;
+      const Vertex w = t / r;
+      if (stop_at_defect &&
+          (u == w || std::find(block(u), block(u) + r_, w) != block(u) + r_)) {
+        return false;
+      }
+      adj_[s] = w;
+      adj_[t] = u;
     }
-    if (threads > 1 && work_items >= kParallelStubThreshold) {
-      pool_.emplace(threads - 1);
+    defective_.clear();
+    for (Vertex v = 0; v < n_; ++v) {
+      if (detail::sort_neighbour_list(block(v), block(v) + r_)) {
+        defective_.push_back(v);
+      }
     }
+    return defective_.empty();
   }
 
-  void run(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
-    if (!pool_.has_value()) {
-      for (std::size_t c = 0; c < chunks; ++c) fn(c);
-      return;
-    }
-    std::mutex mutex;
-    std::exception_ptr error;
-    pool_->parallel_for(chunks, [&](std::size_t c) {
-      try {
-        fn(c);
-      } catch (...) {
-        std::lock_guard lock(mutex);
-        if (!error) error = std::current_exception();
+  /// Removes every loop and surplus multi-edge copy by degree-preserving
+  /// switches. A uniform slot j gives a uniform oriented edge {a, b}; the
+  /// switch {u,v},{a,b} -> {u,a},{v,b} is taken only when {a,b} is simple
+  /// and neither new edge is a loop or already present. Such a switch
+  /// touches no other defect, so each one is removed exactly once. Returns
+  /// false if the repair stalls (the caller redraws the pairing).
+  bool repair(Rng& rng) {
+    std::vector<std::pair<Vertex, Vertex>> defects;
+    for (const Vertex v : defective_) {
+      const Vertex* first = block(v);
+      const Vertex* last = first + r_;
+      for (const Vertex* run = first; run != last;) {
+        const Vertex w = *run;
+        const Vertex* end = std::upper_bound(run, last, w);
+        const auto copies = static_cast<std::size_t>(end - run);
+        // A loop fills two of v's slots; a multi-edge is listed at its
+        // smaller endpoint, one defect per surplus copy.
+        if (w == v) defects.insert(defects.end(), copies / 2, {v, v});
+        if (w > v) defects.insert(defects.end(), copies - 1, {v, w});
+        run = end;
       }
-    });
-    if (error) std::rethrow_exception(error);
+    }
+    const auto slots = static_cast<std::uint32_t>(adj_.size());
+    const std::size_t failure_cap = 200 * (defects.size() + 1);
+    std::size_t failures = 0;
+    while (!defects.empty()) {
+      const auto [u, v] = defects.back();
+      const std::uint32_t j = rng.next_below32(slots);
+      const auto a = static_cast<Vertex>(j / r_);
+      const Vertex b = adj_[j];
+      const std::size_t lo = std::size_t{a} * r_;
+      const bool partner_simple = a != b &&
+                                  (j == lo || adj_[j - 1] != b) &&
+                                  (j + 1 == lo + r_ || adj_[j + 1] != b);
+      if (!partner_simple || u == a || v == b || has_edge(u, a) ||
+          has_edge(v, b)) {
+        if (++failures > failure_cap) return false;
+        continue;
+      }
+      replace(u, v, a);
+      replace(v, u, b);
+      replace(a, b, u);
+      replace(b, a, v);
+      defects.pop_back();
+    }
+    return true;
+  }
+
+  /// Freezes into a Graph. The O(n*r) strictly-increasing, no-self-entry
+  /// scan guards the trusted CSR constructor.
+  Graph freeze(std::string name) {
+    for (Vertex v = 0; v < n_; ++v) {
+      const Vertex* first = block(v);
+      for (std::size_t i = 0; i < r_; ++i) {
+        if (first[i] == v || (i > 0 && first[i - 1] >= first[i])) {
+          throw std::logic_error("random_regular: non-simple block at vertex " +
+                                 std::to_string(v));
+        }
+      }
+    }
+    std::vector<std::uint32_t> offsets(n_ + 1);
+    for (std::size_t v = 0; v <= n_; ++v) {
+      offsets[v] = static_cast<std::uint32_t>(v * r_);
+    }
+    return Graph(std::move(offsets), std::move(adj_), std::move(name), r_, r_);
   }
 
  private:
-  std::optional<ThreadPool> pool_;
+  Vertex* block(Vertex v) noexcept { return adj_.data() + std::size_t{v} * r_; }
+
+  bool has_edge(Vertex v, Vertex w) noexcept {
+    return std::binary_search(block(v), block(v) + r_, w);
+  }
+
+  /// Replaces one entry `from` of v's sorted block by `to`, shifting the
+  /// entries in between: O(r) per switch, and the block stays sorted.
+  void replace(Vertex v, Vertex from, Vertex to) noexcept {
+    Vertex* first = block(v);
+    Vertex* last = first + r_;
+    Vertex* p = std::lower_bound(first, last, from);
+    if (to > from) {
+      for (; p + 1 < last && p[1] < to; ++p) p[0] = p[1];
+    } else {
+      for (; p > first && p[-1] > to; --p) p[0] = p[-1];
+    }
+    *p = to;
+  }
+
+  /// Fill of a slot not yet paired; never a vertex id, as n < 2^32 / r.
+  static constexpr Vertex kUnpaired = ~Vertex{0};
+
+  std::size_t n_;
+  std::size_t r_;
+  std::vector<Vertex> adj_;
+  std::vector<Vertex> stubs_;  ///< unpaired stub ids while pairing
+  std::vector<Vertex> defective_;  ///< blocks with a loop or multi-edge
 };
 
-/// Parallel configuration-model pairing: every stub draws an independent
-/// uniform 64-bit key from its chunk's stream (Rng::for_trial(master, c)),
-/// stubs are sorted by (key, stub index) with a 256-bucket parallel radix
-/// pass, and consecutive sorted stubs pair up. Sorting i.i.d. uniform keys
-/// induces a uniformly random permutation of the stubs (ties — probability
-/// ~S^2/2^65 — fall back to index order, a bias far below detectability),
-/// so the pairing has exactly the distribution of random_pairing's
-/// Fisher-Yates shuffle while every pass over the S = n*r stubs runs in
-/// parallel. The result is a pure function of (master, n, r) — chunk
-/// boundaries, bucket order, and tie-breaks are all thread-count
-/// independent.
-std::vector<std::pair<Vertex, Vertex>> keyed_pairing(std::size_t n,
-                                                     std::size_t r,
-                                                     std::uint64_t master) {
-  struct KeyedStub {
-    std::uint64_t key;
-    std::uint32_t index;
-  };
-  constexpr std::size_t kBuckets = 256;
-  const std::size_t total = n * r;
-  const std::size_t chunks = (total + kStubChunk - 1) / kStubChunk;
-  GenPool pool(total);
-
-  // Pass 1: draw keys, histogram the top byte per (chunk, bucket).
-  std::vector<std::uint64_t> keys(total);
-  std::vector<std::size_t> counts(chunks * kBuckets, 0);
-  pool.run(chunks, [&](std::size_t c) {
-    Rng chunk_rng = Rng::for_trial(master, c);
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, total);
-    std::size_t* count = counts.data() + c * kBuckets;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t key = chunk_rng();
-      keys[i] = key;
-      ++count[key >> 56];
-    }
-  });
-
-  // Serial prefix over (bucket-major, chunk-minor) fixes every stub's
-  // scatter segment; bucket b occupies [bucket_begin[b], bucket_begin[b+1]).
-  std::vector<std::size_t> starts(chunks * kBuckets);
-  std::vector<std::size_t> bucket_begin(kBuckets + 1);
-  std::size_t acc = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    bucket_begin[b] = acc;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      starts[c * kBuckets + b] = acc;
-      acc += counts[c * kBuckets + b];
-    }
-  }
-  bucket_begin[kBuckets] = acc;
-
-  // Pass 2: scatter — each chunk owns its (chunk, bucket) segments, so the
-  // writes race-freely land at positions independent of scheduling.
-  std::vector<KeyedStub> sorted(total);
-  pool.run(chunks, [&](std::size_t c) {
-    std::size_t position[kBuckets];
-    std::copy_n(starts.data() + c * kBuckets, kBuckets, position);
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, total);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t key = keys[i];
-      sorted[position[key >> 56]++] = {key,
-                                       static_cast<std::uint32_t>(i)};
-    }
-  });
-
-  // Pass 3: per-bucket comparison sort finishes the global (key, index)
-  // order, one independent range per bucket.
-  pool.run(kBuckets, [&](std::size_t b) {
-    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(bucket_begin[b]),
-              sorted.begin() + static_cast<std::ptrdiff_t>(bucket_begin[b + 1]),
-              [](const KeyedStub& x, const KeyedStub& y) {
-                return x.key != y.key ? x.key < y.key : x.index < y.index;
-              });
-  });
-
-  // Pass 4: consecutive sorted stubs pair; stub index / r is its vertex.
-  std::vector<std::pair<Vertex, Vertex>> edges(total / 2);
-  const std::size_t edge_chunks = (edges.size() + kStubChunk - 1) / kStubChunk;
-  pool.run(edge_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, edges.size());
-    for (std::size_t e = begin; e < end; ++e) {
-      edges[e] = {static_cast<Vertex>(sorted[2 * e].index / r),
-                  static_cast<Vertex>(sorted[2 * e + 1].index / r)};
-    }
-  });
-  return edges;
-}
-
-bool pairing_is_simple(const std::vector<std::pair<Vertex, Vertex>>& edges) {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges.size() * 2);
-  for (const auto& [u, v] : edges) {
-    if (u == v) return false;
-    if (!seen.insert(edge_key(u, v)).second) return false;
-  }
-  return true;
-}
-
-/// Degree-preserving switch repair: replaces loops/duplicate edges by
-/// swapping endpoints with randomly chosen good edges. Returns false if the
-/// repair stalls (caller restarts with a fresh pairing).
-bool repair_pairing(std::vector<std::pair<Vertex, Vertex>>& edges, Rng& rng) {
-  std::unordered_set<std::uint64_t> good;
-  good.reserve(edges.size() * 2);
-  std::vector<std::size_t> bad;
-  // is_bad marks the edge *slots* that are loops or surplus duplicate
-  // copies. A duplicate's canonical key IS in `good` (via its twin), so key
-  // membership alone cannot identify a safe swap partner.
-  std::vector<char> is_bad(edges.size(), 0);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto& [u, v] = edges[i];
-    if (u == v || !good.insert(edge_key(u, v)).second) {
-      bad.push_back(i);
-      is_bad[i] = 1;
-    }
-  }
-  std::size_t failures = 0;
-  const std::size_t failure_cap = 200 * (bad.size() + 1);
-  while (!bad.empty()) {
-    if (failures > failure_cap) return false;
-    const std::size_t i = bad.back();
-    auto [u, v] = edges[i];
-    const std::size_t j =
-        static_cast<std::size_t>(rng.next_below(edges.size()));
-    // Only swap against currently-good slots: a bad slot either is a loop
-    // or shares its key with a good twin, and swapping with it would
-    // corrupt the key bookkeeping.
-    if (j == i || is_bad[j]) {
-      ++failures;
-      continue;
-    }
-    auto [a, b] = edges[j];
-    if (rng.bernoulli(0.5)) std::swap(a, b);
-    const Vertex n1u = u, n1v = a, n2u = v, n2v = b;
-    if (n1u == n1v || n2u == n2v) {
-      ++failures;
-      continue;
-    }
-    const std::uint64_t k1 = edge_key(n1u, n1v);
-    const std::uint64_t k2 = edge_key(n2u, n2v);
-    if (k1 == k2 || good.count(k1) != 0 || good.count(k2) != 0) {
-      ++failures;
-      continue;
-    }
-    good.erase(edge_key(edges[j].first, edges[j].second));
-    edges[i] = {n1u, n1v};
-    edges[j] = {n2u, n2v};
-    good.insert(k1);
-    good.insert(k2);
-    is_bad[i] = 0;
-    bad.pop_back();
-  }
-  return true;
-}
+/// Stub ids are u32, so a pairing holds fewer than 2^32 stubs.
+constexpr std::uint64_t kMaxStubs = std::uint64_t{1} << 32;
 
 }  // namespace
 
@@ -257,62 +178,27 @@ Graph random_regular(std::size_t n, std::size_t r, Rng& rng) {
   if ((n * r) % 2 != 0) {
     throw std::invalid_argument("random_regular requires n*r even");
   }
-  const std::string name = "random_regular(n=" + std::to_string(n) +
-                           ",r=" + std::to_string(r) + ")";
-  if (r == 0) return GraphBuilder(n).build(name);
+  if (r != 0 && n > (kMaxStubs - 1) / r) {
+    throw std::invalid_argument("random_regular requires n*r < 2^32");
+  }
+  std::string name = "random_regular(n=" + std::to_string(n) +
+                     ",r=" + std::to_string(r) + ")";
   if (r == n - 1) return complete(n);  // only one (n-1)-regular graph
 
-  // For small r the probability that a pairing is already simple is a
-  // constant (about exp(-(r*r-1)/4)), so rejection sampling gives the
-  // exactly-uniform distribution cheaply. For larger r we fall back to
-  // switch repair after a few failed rejections.
-  //
-  // Each attempt derives a fresh master from the caller's stream and runs
-  // the keyed parallel pairing (per-chunk streams, bucket sort) — a
-  // restructured sampler, so the sequence differs from
-  // random_regular_serial's single-stream Fisher-Yates shuffle while the
-  // pairing distribution is identical; the serial variant is the
-  // distributional oracle (chi-square compared in tests/substrate_test.cpp).
-  // Like erdos_renyi, the sample is a pure function of (seed, n, r),
-  // independent of thread count.
-  const int rejection_budget = (r <= 6) ? 256 : 4;
+  // A pairing is simple with probability about exp(-(r*r-1)/4): for r <= 3
+  // redrawing until it is (~7.4 expected attempts at r = 3) keeps the
+  // sample exactly uniform. Larger r repairs its defects in place, which is
+  // only approximately uniform (bias bounded in tests/substrate_test.cpp).
+  SlotGraph graph(n, r);
+  const int rejection_budget = r <= 3 ? 256 : 0;
   for (int attempt = 0; attempt < rejection_budget; ++attempt) {
-    auto edges = keyed_pairing(n, r, rng());
-    if (!pairing_is_simple(edges)) continue;
-    return build_simple_edges(n, std::move(edges), name);
+    if (graph.pair_stubs(rng, /*stop_at_defect=*/true)) {
+      return graph.freeze(std::move(name));
+    }
   }
   for (int attempt = 0; attempt < 64; ++attempt) {
-    auto edges = keyed_pairing(n, r, rng());
-    if (!repair_pairing(edges, rng)) continue;
-    return build_simple_edges(n, std::move(edges), name);
-  }
-  throw std::runtime_error("random_regular: switch repair failed to converge");
-}
-
-Graph random_regular_serial(std::size_t n, std::size_t r, Rng& rng) {
-  if (r >= n) throw std::invalid_argument("random_regular requires r < n");
-  if ((n * r) % 2 != 0) {
-    throw std::invalid_argument("random_regular requires n*r even");
-  }
-  const std::string name = "random_regular(n=" + std::to_string(n) +
-                           ",r=" + std::to_string(r) + ")";
-  if (r == 0) return GraphBuilder(n).build_serial(name);
-  if (r == n - 1) return complete(n);
-
-  const int rejection_budget = (r <= 6) ? 256 : 4;
-  for (int attempt = 0; attempt < rejection_budget; ++attempt) {
-    auto edges = random_pairing(n, r, rng);
-    if (!pairing_is_simple(edges)) continue;
-    GraphBuilder builder(n);
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    return builder.build_serial(name);
-  }
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    auto edges = random_pairing(n, r, rng);
-    if (!repair_pairing(edges, rng)) continue;
-    GraphBuilder builder(n);
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    return builder.build_serial(name);
+    graph.pair_stubs(rng, /*stop_at_defect=*/false);
+    if (graph.repair(rng)) return graph.freeze(std::move(name));
   }
   throw std::runtime_error("random_regular: switch repair failed to converge");
 }

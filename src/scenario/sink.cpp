@@ -305,6 +305,18 @@ Journal::Journal(const std::string& path, const CampaignPlan& plan,
     if (in) {
       std::string line;
       if (std::getline(in, line)) {
+        unsigned version = 0;
+        if (std::sscanf(line.c_str(), "cobra-scenario-journal v%u",
+                        &version) == 1 &&
+            version != kJournalFormatVersion) {
+          throw SpecError(
+              "journal '" + path + "' has format v" +
+              std::to_string(version) + " but this build writes v" +
+              std::to_string(kJournalFormatVersion) +
+              ": the version changes whenever a generator's output for a "
+              "fixed (spec, seed) changes, so its results would mix graphs "
+              "from two samplers; rerun with --fresh to discard it");
+        }
         if (line != header) {
           throw SpecError(
               "journal '" + path + "' belongs to a different campaign "

@@ -4,7 +4,7 @@
 // the append-only checkpoint journal.
 //
 // Journal format (one file per campaign, `<stem>.journal`):
-//   cobra-scenario-journal v1 fp=<fingerprint-hex> jobs=<N>
+//   cobra-scenario-journal v2 fp=<fingerprint-hex> jobs=<N>
 //   job <index> <payload-bytes> <payload>
 // The payload is a whitespace-separated JobResult serialization whose
 // doubles round-trip exactly (%.17g), so records restored on resume render
@@ -25,10 +25,15 @@
 
 namespace cobra::scenario {
 
-/// Journal on-disk format version (the "v1" in the header line). The
-/// distributed handshake exchanges it so a stale worker binary that would
-/// produce frames the coordinator cannot merge fails loudly up front.
-inline constexpr std::uint32_t kJournalFormatVersion = 1;
+/// Journal on-disk format version (the "v2" in the header line). It
+/// changes with the frame layout and whenever a generator's output for a
+/// fixed (spec, seed) changes: the plan fingerprint covers only the spec,
+/// so without the bump a resumed journal or a stale worker would mix
+/// results from two samplers into one sink. Resume refuses a journal of
+/// another version, and the distributed handshake exchanges it so a stale
+/// worker binary fails loudly up front. v2: random_regular's single
+/// slot-CSR sampler replaced the keyed pairing.
+inline constexpr std::uint32_t kJournalFormatVersion = 2;
 
 /// Shortest decimal string that parses back to exactly `value`.
 std::string format_double(double value);

@@ -206,6 +206,16 @@ TEST(RandomRegular, RejectsOddProduct) {
   EXPECT_THROW(gen::random_regular(5, 5, rng), std::invalid_argument);
 }
 
+TEST(RandomRegular, RejectsStubCountPastU32) {
+  // Stub ids are u32: n*r >= 2^32 must be refused up front, before the
+  // 32 GiB of stubs that (2^30, 8) would need is allocated.
+  Rng rng(47);
+  EXPECT_THROW(gen::random_regular(1ull << 30, 8, rng), std::invalid_argument);
+  EXPECT_THROW(gen::random_regular(1ull << 29, 8, rng), std::invalid_argument);
+  EXPECT_THROW(gen::connected_random_regular(1ull << 30, 8, rng),
+               std::invalid_argument);
+}
+
 TEST(RandomRegular, ConnectedVariantIsConnected) {
   Rng rng(47);
   for (int rep = 0; rep < 5; ++rep) {

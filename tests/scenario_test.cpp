@@ -569,6 +569,33 @@ TEST(Journal, MergeDropsSecondFrameForSameJob) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, OlderFormatVersionIsRefusedOnResume) {
+  // A v1 journal was written by a build whose random_regular drew other
+  // graphs for the same (spec, seed), under the same plan fingerprint.
+  // Resuming it would mix the two samplers' results in one sink.
+  const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
+  const std::string stem = ::testing::TempDir() + "scenario_v1";
+  for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
+    std::remove((stem + ext).c_str());
+  }
+  char header[96];
+  std::snprintf(header, sizeof header,
+                "cobra-scenario-journal v1 fp=%016llx jobs=%zu\n",
+                static_cast<unsigned long long>(plan.fingerprint),
+                plan.jobs.size());
+  write_file(stem + ".journal", header);
+  CampaignOptions options;
+  options.output = stem;
+  expect_spec_error([&] { run_campaign(plan, options); },
+                    "has format v1 but this build writes v2");
+  // Starting fresh discards it.
+  options.resume = false;
+  EXPECT_TRUE(run_campaign(plan, options).complete);
+  for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
+    std::remove((stem + ext).c_str());
+  }
+}
+
 TEST(Sweep, StartRotationSkipsIsolatedVertices) {
   // Vertices 0..3 form a 4-cycle; vertex 4 is isolated. The rotation must
   // never hand a degree-0 start to a process.
