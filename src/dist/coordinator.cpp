@@ -368,8 +368,12 @@ struct Coordinator::Impl {
   }
 
   void join_threads() {
-    listener.close();
+    // Shut down (unblocks accept), join, and only then close: closing
+    // while the accept thread may still read the fd races on it and could
+    // accept on a reused descriptor.
+    listener.shutdown();
     if (accept_thread.joinable()) accept_thread.join();
+    listener.close();
     // A handler can be parked in lease->acquire() even though every job is
     // merged (its peer died after streaming results but before SHARD_DONE,
     // leaving the shard leased) — abort the table so every acquire returns

@@ -209,9 +209,14 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
+void Listener::shutdown() noexcept {
+  // Reads fd_ only, so it may race an accept_connection on another thread;
+  // on Linux a shut-down listening socket fails accept with EINVAL.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() noexcept {
   if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);  // unblock a thread stuck in accept
     ::close(fd_);
     fd_ = -1;
   }
@@ -249,7 +254,7 @@ Socket Listener::accept_connection() {
       return Socket(fd);
     }
     if (errno == EINTR) continue;
-    return Socket();  // listener closed (EBADF/EINVAL) — accept loop exits
+    return Socket();  // listener shut down (EINVAL) — accept loop exits
   }
 }
 

@@ -180,11 +180,17 @@ class Listener {
   bool valid() const noexcept { return fd_ >= 0; }
 
   /// Blocks for the next connection; returns an invalid Socket once the
-  /// listener has been closed (the accept loop's exit signal).
+  /// listener has been shut down (the accept loop's exit signal).
   Socket accept_connection();
 
-  /// Unblocks accept_connection and releases the port. Safe to call from
-  /// another thread; idempotent.
+  /// Stops accepting: a blocked or later accept_connection returns an
+  /// invalid Socket. Safe to call while another thread is in
+  /// accept_connection; idempotent.
+  void shutdown() noexcept;
+
+  /// Releases the socket and the port. Not safe against a concurrent
+  /// accept_connection (the fd could be reused under it): shut down, join
+  /// the accepting thread, then close. Idempotent.
   void close() noexcept;
 
  private:

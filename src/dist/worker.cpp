@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -14,9 +13,9 @@
 #include "dist/protocol.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/graph_cache.hpp"
+#include "scenario/job_runner.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
-#include "sim/thread_pool.hpp"
 #include "util/build_info.hpp"
 
 namespace cobra::dist {
@@ -31,16 +30,13 @@ namespace {
 
 struct WorkerState {
   Socket socket;
-  std::mutex send_mutex;  ///< result frames may race from pool threads
   CampaignPlan plan;
   std::unique_ptr<GraphCache> cache;
+  /// Runs every shard; its hooks are serialized, so result frames never
+  /// race on the socket.
+  std::unique_ptr<scenario::JobRunner> runner;
   std::ostream* log = nullptr;
   std::uint64_t id = 0;
-
-  void send(FrameType type, std::string_view payload) {
-    std::lock_guard lock(send_mutex);
-    socket.send_frame(type, payload);
-  }
 
   void log_line(const std::string& text) {
     if (log != nullptr) {
@@ -111,7 +107,8 @@ void fetch_graph(WorkerState& state, const std::string& path) {
     request.path = path;
     request.offset = offset;
     request.max_bytes = kChunk;
-    state.send(FrameType::kGraphRequest, encode_graph_request(request));
+    state.socket.send_frame(FrameType::kGraphRequest,
+                            encode_graph_request(request));
     if (!state.socket.recv_frame(frame)) {
       throw ProtocolError("coordinator closed during graph fetch");
     }
@@ -161,58 +158,38 @@ void fetch_missing_graphs(WorkerState& state) {
 
 /// Executes one leased shard, streaming a JOB_RESULT frame per job (each
 /// frame renews the lease — results are heartbeats) and SHARD_DONE at the
-/// end. On a job failure the first error is reported via an ERROR frame
-/// and rethrown as SpecError: deterministic jobs fail identically on every
+/// end. On a job failure the error is reported via an ERROR frame and
+/// rethrown as SpecError: deterministic jobs fail identically on every
 /// worker, so retrying elsewhere cannot help.
-std::size_t run_shard(WorkerState& state, const LeaseGrantMsg& grant,
-                      std::size_t threads) {
+std::size_t run_shard(WorkerState& state, const LeaseGrantMsg& grant) {
+  std::vector<std::size_t> jobs;
+  jobs.reserve(grant.jobs.size());
   for (const std::uint64_t job : grant.jobs) {
     if (job >= state.plan.jobs.size()) {
       throw ProtocolError("lease grants out-of-range job " +
                           std::to_string(job));
     }
-    state.cache->expect(state.plan.jobs[static_cast<std::size_t>(job)]);
+    jobs.push_back(static_cast<std::size_t>(job));
   }
 
-  std::mutex error_mutex;
-  std::string first_error;
-  const auto run_one = [&](std::size_t at) {
-    const auto index = static_cast<std::size_t>(grant.jobs[at]);
-    const JobSpec& job = state.plan.jobs[index];
-    try {
-      const GraphCache::Acquired acquired = state.cache->acquire(job);
-      const scenario::JobResult result =
-          scenario::execute_campaign_job(state.plan, job, *acquired.graph);
-      state.cache->release(job);
-      JobResultMsg msg;
-      msg.shard = grant.shard;
-      msg.job = index;
-      msg.payload = scenario::serialize_job_result(result);
-      state.send(FrameType::kJobResult, encode_job_result(msg));
-    } catch (const std::exception& e) {
-      state.cache->release(job);
-      std::lock_guard lock(error_mutex);
-      if (first_error.empty()) {
-        first_error =
-            "job " + std::to_string(index) + " failed: " + e.what();
-      }
-    }
+  scenario::JobRunner::Hooks hooks;
+  hooks.done = [&state, &grant](const JobSpec& job,
+                                scenario::JobResult&& result) {
+    JobResultMsg msg;
+    msg.shard = grant.shard;
+    msg.job = job.index;
+    msg.payload = scenario::serialize_job_result(result);
+    state.socket.send_frame(FrameType::kJobResult, encode_job_result(msg));
   };
-
-  if (threads > 0 && grant.jobs.size() > 1) {
-    ThreadPool pool(threads);
-    pool.parallel_for(grant.jobs.size(), run_one);
-  } else {
-    for (std::size_t at = 0; at < grant.jobs.size(); ++at) run_one(at);
-  }
-
-  if (!first_error.empty()) {
-    state.send(FrameType::kError, first_error);
-    throw SpecError(first_error);
+  try {
+    state.runner->run(state.plan, jobs, *state.cache, nullptr, hooks);
+  } catch (const SpecError& e) {
+    state.socket.send_frame(FrameType::kError, e.what());
+    throw;
   }
   WireWriter done;
   done.u64(grant.shard);
-  state.send(FrameType::kShardDone, done.take());
+  state.socket.send_frame(FrameType::kShardDone, done.take());
   return grant.jobs.size();
 }
 
@@ -238,13 +215,14 @@ WorkerResult run_worker(const WorkerOptions& options) {
         std::to_string(welcome.fingerprint) + ", this binary plans " +
         std::to_string(state.plan.fingerprint) +
         " — planner diverged between builds; upgrade the stale side";
-    state.send(FrameType::kError, message);
+    state.socket.send_frame(FrameType::kError, message);
     throw SpecError(message);
   }
   fetch_missing_graphs(state);
   state.cache = std::make_unique<GraphCache>([&state](const JobSpec& job) {
     return scenario::build_campaign_graph(state.plan, job);
   });
+  state.runner = std::make_unique<scenario::JobRunner>(options.threads);
   state.log_line("joined " + options.host + ":" +
                  std::to_string(options.port) + " campaign '" +
                  state.plan.name + "' (coordinator " + welcome.build_info +
@@ -256,7 +234,7 @@ WorkerResult run_worker(const WorkerOptions& options) {
 
   Frame frame;
   while (true) {
-    state.send(FrameType::kLeaseRequest, "");
+    state.socket.send_frame(FrameType::kLeaseRequest, "");
     if (!state.socket.recv_frame(frame)) {
       throw ProtocolError("coordinator closed while awaiting lease");
     }
@@ -274,7 +252,7 @@ WorkerResult run_worker(const WorkerOptions& options) {
     const LeaseGrantMsg grant = decode_lease_grant(frame.payload);
     state.log_line("lease shard " + std::to_string(grant.shard) + " (" +
                    std::to_string(grant.jobs.size()) + " job(s))");
-    result.jobs_executed += run_shard(state, grant, options.threads);
+    result.jobs_executed += run_shard(state, grant);
     ++result.shards_completed;
   }
   return result;

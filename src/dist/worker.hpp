@@ -5,7 +5,7 @@
 // fingerprint (a stale binary whose planner diverged fails loudly instead
 // of merging wrong results), then loops lease -> execute -> stream until
 // the coordinator says SHUTDOWN. Jobs run through the exact code path
-// run_campaign uses (build_campaign_graph + execute_campaign_job), so a
+// run_campaign uses (build_campaign_graph + scenario::JobRunner), so a
 // result computed here serializes byte-identically to a local one.
 #pragma once
 
@@ -18,7 +18,8 @@ namespace cobra::dist {
 struct WorkerOptions {
   std::string host = "127.0.0.1";  ///< numeric IPv4 of the coordinator
   std::uint16_t port = 0;
-  /// Jobs of one shard computed in parallel (0 = serial). Result frames
+  /// Pool threads of the job runner, which also uses the calling thread:
+  /// a shard's jobs and trials run in parallel (0 = serial). Result frames
   /// stream as jobs finish either way — every frame renews the lease.
   std::size_t threads = 0;
   /// Per-event log lines (welcome, leases, shard completions).

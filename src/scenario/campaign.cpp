@@ -4,18 +4,14 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <mutex>
 #include <ostream>
 
 #include "core/faults.hpp"
 #include "obs/progress.hpp"
-#include "sim/batched.hpp"
 #include "scenario/graph_cache.hpp"
+#include "scenario/job_runner.hpp"
 #include "scenario/sink.hpp"
-#include "sim/sweep.hpp"
-#include "sim/thread_pool.hpp"
-#include "stats/quantile.hpp"
+#include "sim/batched.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cobra::scenario {
@@ -52,153 +48,6 @@ struct Axis {
   std::size_t entry;  ///< entry position within the section
   std::vector<std::string> values;
 };
-
-Summary summary_from(const OnlineStats& stream, std::vector<double>& values) {
-  Summary summary;
-  summary.count = stream.count();
-  summary.mean = stream.mean();
-  summary.stddev = stream.stddev();
-  summary.min = stream.min();
-  summary.max = stream.max();
-  summary.median = quantile(values, 0.5);
-  summary.p90 = quantile(values, 0.9);
-  summary.p99 = quantile(values, 0.99);
-  return summary;
-}
-
-JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
-                      const Graph& g, CampaignTelemetry* telemetry) {
-  obs::TraceSpan job_span(telemetry != nullptr ? telemetry->trace() : nullptr,
-                          "job", "job " + std::to_string(job.index));
-  // Qualified: the enclosing cobra:: namespace has the factory overload.
-  const auto process = scenario::make_process(g, job.process);
-  // Optional fault layer: built per job (cheap — the model is a validated
-  // options holder) and attached before any reset, so every trial of the
-  // job runs the fault-aware rounds. With no [faults] section the process
-  // is never touched and the legacy path stays byte-identical.
-  std::unique_ptr<FaultModel> fault_model;
-  if (!job.faults.empty()) {
-    fault_model = std::make_unique<FaultModel>(
-        g.num_vertices(), parse_fault_options(job.faults));
-    process->set_fault_model(fault_model.get());
-  }
-  const auto starts = spreadable_starts(g);
-  const std::uint64_t job_seed = mix64(plan.base_seed, job.index);
-  JobResult result;
-  result.trials = plan.trials;
-  result.graph_name = g.name();
-  result.faulty = fault_model != nullptr;
-  OnlineStats rounds_stream;
-  OnlineStats tx_stream;
-  OnlineStats pdr_stream;
-  OnlineStats energy_stream;
-  std::vector<double> rounds_values;
-  std::vector<double> tx_values;
-  std::vector<double> pdr_values;
-  std::vector<double> energy_values;
-  rounds_values.reserve(plan.trials);
-  tx_values.reserve(plan.trials);
-  if (result.faulty) {
-    pdr_values.reserve(plan.trials);
-    energy_values.reserve(plan.trials);
-  }
-  // Per-round telemetry: record the first rounds_trials trials of the job
-  // through the out-of-band observer hook (results are independent of
-  // attached observers — the PR-3 contract, re-verified in obs_test).
-  std::unique_ptr<obs::RoundRecorder> recorder;
-  std::size_t recorded_trials = 0;
-  if (telemetry != nullptr && telemetry->rounds() != nullptr) {
-    recorder = std::make_unique<obs::RoundRecorder>(
-        telemetry->config().rounds_sample_every);
-    recorded_trials =
-        std::min(telemetry->config().rounds_trials, plan.trials);
-  }
-  obs::TraceSpan trials_span(
-      telemetry != nullptr ? telemetry->trace() : nullptr, "trials");
-  // Trial t's result is consumed here regardless of which engine produced
-  // it; the streams see trials strictly in t order either way.
-  const auto consume = [&](const SpreadResult& trial) {
-    if (telemetry != nullptr) {
-      telemetry->metrics().add(telemetry->trials_done);
-      telemetry->metrics().observe(telemetry->trial_rounds,
-                                   static_cast<double>(trial.rounds));
-      if (!trial.completed) {
-        telemetry->metrics().add(telemetry->trials_failed);
-      }
-    }
-    if (result.faulty) {
-      // Raw delivery totals cover every trial, failed ones included —
-      // exactly what was spent, not just what succeeded.
-      result.delivered += trial.delivered;
-      result.dropped += trial.dropped_channel;
-      result.blocked += trial.blocked_receiver;
-    }
-    if (!trial.completed) {
-      ++result.failed;
-      return;
-    }
-    const auto rounds = static_cast<double>(trial.rounds);
-    const auto tx = static_cast<double>(trial.total_transmissions);
-    rounds_stream.add(rounds);
-    tx_stream.add(tx);
-    rounds_values.push_back(rounds);
-    tx_values.push_back(tx);
-    if (result.faulty) {
-      // Packet-delivery ratio; a trial that sent nothing (e.g. always
-      // down) has no deliveries, so 0 is the honest PDR.
-      const double pdr =
-          trial.total_transmissions > 0
-              ? static_cast<double>(trial.delivered) /
-                    static_cast<double>(trial.total_transmissions)
-              : 0.0;
-      pdr_stream.add(pdr);
-      energy_stream.add(trial.energy);
-      pdr_values.push_back(pdr);
-      energy_values.push_back(trial.energy);
-    }
-  };
-  const auto run_scalar = [&](std::size_t t) {
-    const bool record_rounds = t < recorded_trials;
-    process->set_observer(record_rounds ? recorder.get() : nullptr);
-    const SpreadResult trial = process->run(Rng::for_trial(job_seed, t),
-                                            starts[t % starts.size()]);
-    if (record_rounds) {
-      telemetry->rounds()->append_trial(job.index, t, recorder->samples());
-      if (t + 1 == recorded_trials) process->set_observer(nullptr);
-    }
-    consume(trial);
-  };
-  // [engine] batch >= 2: the lockstep engine runs the bulk of the trials.
-  // Observer-recorded trials stay scalar (round observers hook the scalar
-  // step path), as does any process/fault combination without a batched
-  // engine — the factory's nullptr covers both the fault layer and
-  // unsupported processes, so this degrades to exactly the loop above.
-  // Either way every per-trial SpreadResult is bitwise-identical, so the
-  // aggregates, journal, and sinks cannot tell the engines apart.
-  std::unique_ptr<BatchedEngine> engine;
-  if (plan.batch >= 2) engine = make_batched_engine(*process, plan.batch);
-  if (engine == nullptr) {
-    for (std::size_t t = 0; t < plan.trials; ++t) run_scalar(t);
-  } else {
-    for (std::size_t t = 0; t < recorded_trials; ++t) run_scalar(t);
-    std::vector<SpreadResult> block(plan.batch);
-    for (std::size_t first = recorded_trials; first < plan.trials;
-         first += plan.batch) {
-      const std::size_t count = std::min(plan.batch, plan.trials - first);
-      engine->run_block(job_seed, first, count, starts, block.data());
-      for (std::size_t i = 0; i < count; ++i) consume(block[i]);
-    }
-  }
-  if (!rounds_values.empty()) {
-    result.rounds = summary_from(rounds_stream, rounds_values);
-    result.transmissions = summary_from(tx_stream, tx_values);
-    if (result.faulty) {
-      result.pdr = summary_from(pdr_stream, pdr_values);
-      result.energy = summary_from(energy_stream, energy_values);
-    }
-  }
-  return result;
-}
 
 std::uint64_t parse_seed_value(const std::string& text) {
   std::int64_t value = 0;
@@ -500,9 +349,8 @@ Graph build_campaign_graph(const CampaignPlan& plan, const JobSpec& job) {
   return build_graph_instance(plan, job);
 }
 
-JobResult execute_campaign_job(const CampaignPlan& plan, const JobSpec& job,
-                               const Graph& g) {
-  return execute_job(plan, job, g, nullptr);
+std::uint64_t job_trial_seed(const CampaignPlan& plan, const JobSpec& job) {
+  return mix64(plan.base_seed, job.index);
 }
 
 void write_campaign_sinks(const CampaignPlan& plan,
@@ -582,76 +430,39 @@ CampaignResult run_campaign(const CampaignPlan& plan,
     obs::TraceSpan span(trace, "graph_build", GraphCache::key_for(job));
     return build_graph_instance(plan, job);
   });
-  for (const std::size_t index : pending) cache.expect(plan.jobs[index]);
-
-  std::mutex mutex;
-  std::string first_error;
-  bool errored = false;
   const std::size_t total = plan.jobs.size();
-  const auto body = [&](std::size_t pending_index) {
-    {
-      std::lock_guard lock(mutex);
-      if (errored) return;
+  // Hooks run one at a time (JobRunner serializes them), so the journal and
+  // the result vector need no lock of their own.
+  JobRunner::Hooks hooks;
+  if (journal) {
+    // Build timing goes to the metrics registry (status.json's graph_builds
+    // / graph_build_seconds, recorded by the runner) and, for journal-backed
+    // campaigns, to the legacy note frame — same numbers, two sinks.
+    hooks.built = [&journal](const JobSpec& job, const Graph& graph,
+                             double seconds) {
+      journal->note("graph " + GraphCache::key_for(job) + " name=" +
+                    graph.name() + " build_seconds=" + format_double(seconds) +
+                    (graph.is_mapped()
+                         ? " mapped_bytes=" +
+                               std::to_string(graph.mapped_bytes())
+                         : ""));
+    };
+  }
+  hooks.done = [&](const JobSpec& job, JobResult&& job_result) {
+    obs::TraceSpan journal_span(trace, "journal_append");
+    if (journal) journal->append(job.index, job_result);
+    if (options.progress != nullptr) {
+      *options.progress << "[" << (result.resumed + result.executed + 1)
+                        << "/" << total << "] job " << job.index << " "
+                        << job_result.graph_name << " rounds mean="
+                        << format_double(job_result.rounds.mean)
+                        << " failed=" << job_result.failed << "\n";
     }
-    const JobSpec& job = plan.jobs[pending[pending_index]];
-    try {
-      const GraphCache::Acquired acquired = cache.acquire(job);
-      const auto& graph = acquired.graph;
-      if (acquired.built_seconds >= 0.0) {
-        // Build timing goes to the metrics registry (status.json's
-        // graph_builds / graph_build_seconds) and, for journal-backed
-        // campaigns, to the legacy note frame — same numbers, two sinks.
-        if (telemetry != nullptr) {
-          telemetry->metrics().add(telemetry->graph_builds);
-          telemetry->metrics().observe(telemetry->graph_build_seconds,
-                                       acquired.built_seconds);
-        }
-        if (journal) {
-          std::lock_guard lock(mutex);
-          journal->note("graph " + GraphCache::key_for(job) + " name=" +
-                        graph->name() + " build_seconds=" +
-                        format_double(acquired.built_seconds) +
-                        (graph->is_mapped()
-                             ? " mapped_bytes=" +
-                                   std::to_string(graph->mapped_bytes())
-                             : ""));
-        }
-      }
-      Stopwatch job_watch;
-      JobResult job_result = execute_job(plan, job, *graph, telemetry.get());
-      cache.release(job);
-      if (telemetry != nullptr) {
-        telemetry->metrics().observe(telemetry->job_seconds,
-                                     job_watch.seconds());
-        telemetry->metrics().add(telemetry->jobs_done);
-      }
-      obs::TraceSpan journal_span(trace, "journal_append");
-      std::lock_guard lock(mutex);
-      if (journal) journal->append(job.index, job_result);
-      if (options.progress != nullptr) {
-        *options.progress << "[" << (result.resumed + result.executed + 1)
-                          << "/" << total << "] job " << job.index << " "
-                          << job_result.graph_name << " rounds mean="
-                          << format_double(job_result.rounds.mean)
-                          << " failed=" << job_result.failed << "\n";
-      }
-      result.jobs[job.index] = std::move(job_result);
-      ++result.executed;
-    } catch (const std::exception& e) {
-      std::lock_guard lock(mutex);
-      if (!errored) {
-        errored = true;
-        first_error = "job " + std::to_string(job.index) + ": " + e.what();
-      }
-    }
+    result.jobs[job.index] = std::move(job_result);
+    ++result.executed;
   };
 
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<ThreadPool>(threads);
-    if (telemetry != nullptr) pool->enable_telemetry();
-  }
-
+  JobRunner runner(threads, telemetry != nullptr);
   // The live reporter samples worker-owned relaxed cells and the merged
   // metrics shards; it never blocks the workers.
   std::unique_ptr<obs::ProgressReporter> reporter;
@@ -671,11 +482,10 @@ CampaignResult run_campaign(const CampaignPlan& plan,
     const std::size_t to_run = pending.size();
     const std::size_t resumed = result.resumed;
     CampaignTelemetry* t = telemetry.get();
-    ThreadPool* pool_ptr = pool.get();
     const std::string campaign_name = plan.name;
     reporter = std::make_unique<obs::ProgressReporter>(
         reporter_options,
-        [t, pool_ptr, total, to_run, resumed, campaign_name,
+        [t, &runner, total, to_run, resumed, campaign_name,
          &campaign_watch]() {
           obs::ProgressSnapshot s;
           s.campaign = campaign_name;
@@ -701,31 +511,23 @@ CampaignResult run_campaign(const CampaignPlan& plan,
             }
           }
           s.peak_rss_bytes = obs::peak_rss_bytes();
-          if (pool_ptr != nullptr) {
-            const auto workers = pool_ptr->telemetry();
-            s.workers.reserve(workers.size());
-            for (const auto& w : workers) {
-              obs::ProgressSnapshot::Worker worker;
-              worker.chunks = w.chunks;
-              worker.busy_seconds = w.busy_seconds;
-              worker.utilization =
-                  s.elapsed_seconds > 0.0
-                      ? w.busy_seconds / s.elapsed_seconds
-                      : 0.0;
-              s.workers.push_back(worker);
-            }
+          const auto workers = runner.pool_telemetry();
+          s.workers.reserve(workers.size());
+          for (const auto& w : workers) {
+            obs::ProgressSnapshot::Worker worker;
+            worker.chunks = w.chunks;
+            worker.busy_seconds = w.busy_seconds;
+            worker.utilization = s.elapsed_seconds > 0.0
+                                     ? w.busy_seconds / s.elapsed_seconds
+                                     : 0.0;
+            s.workers.push_back(worker);
           }
           return s;
         });
   }
 
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < pending.size(); ++i) body(i);
-  } else {
-    pool->parallel_for(pending.size(), body);
-  }
+  runner.run(plan, pending, cache, telemetry.get(), hooks);
   if (reporter != nullptr) reporter->stop();
-  if (errored) throw SpecError(first_error);
 
   result.complete = true;
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {

@@ -2,14 +2,15 @@
 //
 // Campaign planning and execution: turns a parsed ScenarioSpec into a
 // deterministic job list (grid expansion over graph / process / seed
-// axes), shards it across the thread pool, streams per-trial results into
-// the stats/ online summaries, and checkpoints every finished job into an
-// append-only journal so a killed campaign resumes where it left off.
+// axes), runs its trials on the trial-granular JobRunner
+// (scenario/job_runner.hpp), folds them into the stats/ summaries, and
+// checkpoints every finished job into an append-only journal so a killed
+// campaign resumes where it left off.
 //
 // Determinism contract: each job's result is a pure function of
 // (base_seed, job index) — graphs are seeded from (base_seed, seed axis,
 // canonical graph params) and trial t of job j draws from
-// Rng::for_trial(mix(base_seed, j), t). Results are therefore identical
+// Rng::for_trial(job_trial_seed(plan, j), t). Results are therefore identical
 // whatever the thread count or interruption pattern, and the final JSONL /
 // CSV files are byte-identical between an interrupted-and-resumed campaign
 // and an uninterrupted one (tested in tests/scenario_test.cpp).
@@ -138,12 +139,16 @@ std::shared_ptr<const Graph> build_job_graph(const CampaignPlan& plan,
 /// worker feeds this into a GraphCache builder).
 Graph build_campaign_graph(const CampaignPlan& plan, const JobSpec& job);
 
-/// Executes one job of the plan on an already-built graph instance — the
-/// shard-scoped execution path the distributed worker drives. Identical to
-/// what run_campaign does per job (same seeding, same fault wiring), so a
-/// result computed remotely serializes byte-identically to a local one.
+/// Executes one job of the plan on an already-built graph instance, all
+/// trials on the calling thread: the JobRunner's one-participant case (same
+/// seeding, same fault wiring, same trial loop), so its result serializes
+/// byte-identically to one run_campaign computes.
 JobResult execute_campaign_job(const CampaignPlan& plan, const JobSpec& job,
                                const Graph& g);
+
+/// The seed of every trial of `job`: trial t draws from
+/// Rng::for_trial(job_trial_seed(plan, job), t), whichever thread runs it.
+std::uint64_t job_trial_seed(const CampaignPlan& plan, const JobSpec& job);
 
 /// Writes `<stem>.jsonl` / `<stem>.csv` for a complete result set, in job
 /// order — deterministic and byte-identical however the results were

@@ -3,6 +3,8 @@
 
 #include <unistd.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -131,15 +133,33 @@ void flush_and_sync(std::FILE* out) {
 std::string format_double(double value) {
   char buf[64];
   // Integral values (the common case: round counts) print as integers;
-  // everything else gets the shortest precision that round-trips exactly.
+  // everything else gets the shortest precision that round-trips exactly:
+  // the first p in 1..17 whose correctly rounded %.*g output parses back to
+  // `value`. No p below the shortest round-trip digit count D (to_chars)
+  // can, and at p = D the correctly rounded value is the D-digit value
+  // nearest `value`, so it round-trips whenever any D-digit value does —
+  // unless the round-trip interval is lopsided, which happens only at
+  // powers of two (the gap below is half the gap above). Only those are
+  // parsed back, continuing at D + 1 when D fails.
   if (value == static_cast<double>(static_cast<long long>(value)) &&
       value > -1e15 && value < 1e15) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
     return buf;
   }
-  for (int precision = 1; precision <= 17; ++precision) {
+  int precision = 17;  // nan and inf print the same at any precision
+  if (std::isfinite(value)) {
+    const auto chars = std::to_chars(buf, buf + sizeof buf, value,
+                                     std::chars_format::scientific);
+    precision = 0;
+    for (const char* c = buf; c != chars.ptr && *c != 'e'; ++c) {
+      precision += *c >= '0' && *c <= '9';
+    }
+  }
+  int exponent = 0;
+  const bool power_of_two = std::fabs(std::frexp(value, &exponent)) == 0.5;
+  for (; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    if (!power_of_two || std::strtod(buf, nullptr) == value) break;
   }
   return buf;
 }

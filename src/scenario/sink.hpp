@@ -35,7 +35,8 @@ namespace cobra::scenario {
 /// slot-CSR sampler replaced the keyed pairing.
 inline constexpr std::uint32_t kJournalFormatVersion = 2;
 
-/// Shortest decimal string that parses back to exactly `value`.
+/// Shortest correctly rounded %g string that parses back to exactly
+/// `value`; integral values within +-1e15 print as integers.
 std::string format_double(double value);
 
 /// One JSONL record for a finished job (no trailing newline).

@@ -7,15 +7,22 @@
 // producing byte-identical final output to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "protocols/push.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/graph_cache.hpp"
+#include "scenario/job_runner.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
 #include "scenario/spec.hpp"
@@ -432,6 +439,184 @@ TEST(Plan, EngineSectionValidatesBatch) {
   auto spec = ScenarioSpec::parse_string(kTinySpec);
   spec.set("engine", "lanes", "8");
   expect_spec_error([&] { plan_campaign(spec); }, "no key 'lanes'");
+}
+
+// ---- trial-granular job runner (scenario/job_runner.hpp) ----
+
+// Six tiny jobs, then two 64-trial jobs on the one large graph, last in
+// index order: once every job has started, the idle participants must help
+// those two, and their trials then run on several threads at once.
+constexpr const char* kHelpSpec = R"(
+[campaign]
+name = helping
+trials = 64
+base_seed = 7
+
+[graph]
+family = random_regular
+n = 16, 24, 32, 1024
+r = 4
+
+[process]
+name = cobra, bips
+k = 2
+)";
+
+/// Runs `spec_text` at `threads` into a fresh stem; returns JSONL + CSV.
+std::string run_sinks(const std::string& spec_text, std::size_t threads,
+                      const std::string& tag) {
+  const std::string stem = ::testing::TempDir() + "scenario_runner_" + tag;
+  for (const char* ext : {".journal", ".jsonl", ".csv", ".rounds.jsonl"}) {
+    std::remove((stem + ext).c_str());
+  }
+  CampaignOptions options;
+  options.threads = threads;
+  options.output = stem;
+  const auto result =
+      run_campaign(plan_campaign(ScenarioSpec::parse_string(spec_text)),
+                   options);
+  EXPECT_TRUE(result.complete) << tag;
+  EXPECT_EQ(result.executed, 8u) << tag;
+  return read_file(stem + ".jsonl") + read_file(stem + ".csv");
+}
+
+TEST(JobRunner, SinksIdenticalAtEveryThreadCountBatchAndTelemetry) {
+  const std::string plain(kHelpSpec);
+  const std::string reference = run_sinks(plain, 0, "plain_t0");
+  ASSERT_FALSE(reference.empty());
+  const std::string faulty = plain + "\n[faults]\ndrop = 0.2\n";
+  const std::string faulty_reference = run_sinks(faulty, 0, "faults_t0");
+  EXPECT_NE(faulty_reference, reference);
+  struct Variant {
+    const char* tag;
+    std::string spec;
+    const std::string* expected;
+  };
+  const Variant variants[] = {
+      {"plain", plain, &reference},
+      {"batch", plain + "\n[engine]\nbatch = 8\n", &reference},
+      {"faults", faulty, &faulty_reference},
+      // Recorded trials stay on their job's opener; the rest are shared.
+      {"rounds", plain + "\n[telemetry]\nrounds = 1\nrounds_trials = 3\n",
+       &reference},
+  };
+  for (const Variant& variant : variants) {
+    for (const std::size_t threads : {0, 1, 3, 7}) {
+      const std::string tag =
+          std::string(variant.tag) + "_t" + std::to_string(threads);
+      EXPECT_EQ(run_sinks(variant.spec, threads, tag), *variant.expected)
+          << tag;
+    }
+  }
+}
+
+TEST(JobRunner, FailingHelpedTrialFailsTheRunWithoutLeaks) {
+  const CampaignPlan plan =
+      plan_campaign(ScenarioSpec::parse_string(kHelpSpec));
+  const std::size_t big = plan.jobs.size() - 1;
+  std::vector<std::size_t> jobs(plan.jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = i;
+  GraphCache cache([&plan](const JobSpec& job) {
+    return build_campaign_graph(plan, job);
+  });
+  JobRunner runner(3);
+
+  // The first thread to run a trial of the last job waits until another
+  // participant joins it there; that helper's trial throws.
+  std::mutex mutex;
+  std::condition_variable joined;
+  std::thread::id first;
+  bool helped = false;
+  std::size_t done = 0;
+  JobRunner::Hooks hooks;
+  hooks.done = [&done](const JobSpec&, JobResult&&) { ++done; };
+  hooks.before_trial = [&](const JobSpec& job, std::size_t) {
+    if (job.index != big) return;
+    std::unique_lock lock(mutex);
+    const std::thread::id self = std::this_thread::get_id();
+    if (first == std::thread::id()) {
+      first = self;
+      joined.wait_for(lock, std::chrono::seconds(20), [&] { return helped; });
+      return;
+    }
+    if (self == first) return;
+    helped = true;
+    joined.notify_all();
+    throw std::runtime_error("injected trial failure");
+  };
+  expect_spec_error([&] { runner.run(plan, jobs, cache, nullptr, hooks); },
+                    "job " + std::to_string(big) +
+                        ": injected trial failure");
+  EXPECT_TRUE(helped);
+  EXPECT_LT(done, plan.jobs.size());
+  // Every graph use was released, the failed job's included.
+  EXPECT_EQ(cache.usage().graphs, 0u);
+
+  // The runner and the cache stay usable: a clean rerun finishes every job
+  // and matches the serial campaign.
+  std::vector<std::optional<JobResult>> results(plan.jobs.size());
+  hooks.before_trial = nullptr;
+  hooks.done = [&results](const JobSpec& job, JobResult&& result) {
+    results[job.index] = std::move(result);
+  };
+  runner.run(plan, jobs, cache, nullptr, hooks);
+  EXPECT_EQ(cache.usage().graphs, 0u);
+  const auto serial = run_campaign(plan, {});
+  for (const JobSpec& job : plan.jobs) {
+    ASSERT_TRUE(results[job.index].has_value());
+    EXPECT_EQ(jsonl_record(plan, job, *results[job.index]),
+              jsonl_record(plan, job, *serial.jobs[job.index]));
+  }
+}
+
+TEST(JobRunner, FailingTrialFailsTheRunSeriallyAndPooled) {
+  // A throwing trial fails the run with the job's index whether one or
+  // three participants run it, and releases every graph use.
+  const CampaignPlan plan =
+      plan_campaign(ScenarioSpec::parse_string(kHelpSpec));
+  std::vector<std::size_t> jobs = {0, 1, 2};
+  for (const std::size_t threads : {0, 2}) {
+    GraphCache cache([&plan](const JobSpec& job) {
+      return build_campaign_graph(plan, job);
+    });
+    JobRunner runner(threads);
+    JobRunner::Hooks hooks;
+    hooks.before_trial = [](const JobSpec& job, std::size_t trial) {
+      if (job.index == 1 && trial == 5) throw std::runtime_error("boom");
+    };
+    expect_spec_error(
+        [&] { runner.run(plan, jobs, cache, nullptr, hooks); }, "job 1: boom");
+    EXPECT_EQ(cache.usage().graphs, 0u);
+  }
+}
+
+TEST(JobRunner, MaxJobsCountsStayExactWhenHelping) {
+  const CampaignPlan plan =
+      plan_campaign(ScenarioSpec::parse_string(kHelpSpec));
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = dir + "scenario_runner_max_jobs";
+  for (const char* ext : {".journal", ".jsonl", ".csv"}) {
+    std::remove((stem + ext).c_str());
+  }
+  CampaignOptions options;
+  options.threads = 3;
+  options.output = stem;
+  options.max_jobs = 3;
+  const auto first = run_campaign(plan, options);
+  EXPECT_FALSE(first.complete);
+  EXPECT_EQ(first.resumed, 0u);
+  EXPECT_EQ(first.executed, 3u);
+  const auto second = run_campaign(plan, options);
+  EXPECT_FALSE(second.complete);
+  EXPECT_EQ(second.resumed, 3u);
+  EXPECT_EQ(second.executed, 3u);
+  options.max_jobs = 0;
+  const auto last = run_campaign(plan, options);
+  ASSERT_TRUE(last.complete);
+  EXPECT_EQ(last.resumed, 6u);
+  EXPECT_EQ(last.executed, 2u);
+  EXPECT_EQ(read_file(stem + ".jsonl") + read_file(stem + ".csv"),
+            run_sinks(kHelpSpec, 0, "max_jobs_reference"));
 }
 
 TEST(Campaign, ResumeRejectsMismatchedSpec) {
