@@ -1,13 +1,15 @@
 // SPDX-License-Identifier: MIT
 //
 // M1c — unified-process microbenchmark: every process in the factory
-// registry is driven through the steppable Process interface
-// (reset / step / done) for a batch of trials on one expander instance,
-// measuring round throughput AND steady-state heap behaviour. Global
+// registry (plus COBRA at k = 1) is driven through the steppable Process
+// interface (reset / step / done) for a batch of trials on one expander
+// instance, measuring round throughput AND steady-state heap behaviour.
+// COBRA rows also get a Process::run leg, the call campaigns make, which
+// at k = 1 runs the walk loop; both legs must run the same rounds. Global
 // operator new/delete are overridden with counting shims, so the bench
 // proves the workspace-reuse contract end to end: after the first
-// (warm-up) trial, a reset+step trial loop performs ZERO allocations for
-// every registered process. Emits machine-readable BENCH_process.json.
+// (warm-up) trial, every leg performs ZERO allocations. Emits
+// machine-readable BENCH_process.json.
 //
 //   ./micro_process [--scale small|medium|large] [--trials N] [--seed S]
 //                   [--n N] [--out BENCH_process.json]
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,19 +78,35 @@ namespace {
 
 using namespace cobra;
 
-struct BenchRow {
-  std::string name;
-  std::size_t trials = 0;
+/// One leg of a row: `trials` trials on a fresh workspace, trial 0 the
+/// warm-up.
+struct Leg {
   std::size_t completed = 0;
   std::uint64_t warmup_allocations = 0;  ///< trial 0: first-touch growth
   std::uint64_t steady_allocations = 0;  ///< trials 1..T-1 combined
-  std::uint64_t total_rounds = 0;
+  std::uint64_t total_rounds = 0;        ///< trials 1..T-1
   double steady_seconds = 0;
 
   double rounds_per_sec() const {
     return steady_seconds > 0
                ? static_cast<double>(total_rounds) / steady_seconds
                : 0;
+  }
+};
+
+struct BenchRow {
+  std::string name;
+  std::size_t trials = 0;
+  Leg stepped;             ///< reset + step until done
+  std::optional<Leg> run;  ///< Process::run; COBRA rows only
+
+  bool allocation_free() const {
+    return stepped.steady_allocations == 0 &&
+           (!run || run->steady_allocations == 0);
+  }
+  bool legs_agree() const {
+    return !run || (stepped.total_rounds == run->total_rounds &&
+                    stepped.completed == run->completed);
   }
 };
 
@@ -230,35 +249,52 @@ bool bench_batched(const Graph& g, const std::string& name,
   return true;
 }
 
-BenchRow bench_process(const Graph& g, const std::string& name,
-                       ProcessParams params, std::uint64_t seed,
-                       std::size_t trials) {
-  // Bulk Monte Carlo configuration, same as the campaign hot path.
-  params.emplace_back("record_curve", "0");
+Leg bench_leg(const Graph& g, const std::string& name,
+              const ProcessParams& params, std::uint64_t seed,
+              std::size_t trials, bool stepped) {
   const auto process = make_process(g, name, params);
-  BenchRow row;
-  row.name = name;
-  row.trials = trials;
+  Leg leg;
   const std::size_t n = g.num_vertices();
   Stopwatch watch;
   for (std::size_t i = 0; i < trials; ++i) {
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     if (i == 1) watch.reset();
-    // Drive the steppable interface directly (result() would copy the
-    // curve; the campaign layer harvests scalars the same way).
-    process->reset(Rng::for_trial(seed, i), static_cast<Vertex>(i % n));
-    while (!process->done()) process->step();
-    if (i >= 1) row.total_rounds += process->round();
-    row.completed += process->completed();
+    const Rng rng = Rng::for_trial(seed, i);
+    const auto start = static_cast<Vertex>(i % n);
+    if (stepped) {
+      // Drive the steppable interface directly (result() would copy the
+      // curve; the campaign layer harvests scalars the same way).
+      process->reset(rng, start);
+      while (!process->done()) process->step();
+    } else {
+      (void)process->run(rng, start);  // no curve to copy: record_curve=0
+    }
+    if (i >= 1) leg.total_rounds += process->round();
+    leg.completed += process->completed();
     const std::uint64_t spent =
         g_allocations.load(std::memory_order_relaxed) - before;
     if (i == 0) {
-      row.warmup_allocations = spent;
+      leg.warmup_allocations = spent;
     } else {
-      row.steady_allocations += spent;
+      leg.steady_allocations += spent;
     }
   }
-  row.steady_seconds = trials > 1 ? watch.seconds() : 0;
+  leg.steady_seconds = trials > 1 ? watch.seconds() : 0;
+  return leg;
+}
+
+BenchRow bench_process(const Graph& g, const std::string& name,
+                       const std::string& label, ProcessParams params,
+                       std::uint64_t seed, std::size_t trials, bool with_run) {
+  // Bulk Monte Carlo configuration, same as the campaign hot path.
+  params.emplace_back("record_curve", "0");
+  BenchRow row;
+  row.name = label;
+  row.trials = trials;
+  row.stepped = bench_leg(g, name, params, seed, trials, /*stepped=*/true);
+  if (with_run) {
+    row.run = bench_leg(g, name, params, seed, trials, /*stepped=*/false);
+  }
   return row;
 }
 
@@ -279,32 +315,58 @@ int main(int argc, char** argv) {
   const Graph g = gen::connected_random_regular(n, 8, graph_rng);
   std::printf("micro_process [scale=%s, graph=%s, n=%zu, trials=%zu]\n",
               scale.name().c_str(), g.name().c_str(), n, trials);
-  std::printf("%-16s %9s %12s %14s %12s\n", "process", "trials",
-              "rounds/sec", "steady allocs", "warm allocs");
+  std::printf("%-16s %7s %12s %12s %14s %12s\n", "process", "trials",
+              "step rnd/s", "run rnd/s", "steady allocs", "warm allocs");
 
   // Per-process parameter tweaks keep every row seconds-cheap: the walk's
   // step budget covers n log n cover times, SIS gets a finite round cap.
+  // COBRA also runs at k = 1, the walk its run() loop is built for; only
+  // COBRA rows time run(), as no other process has a run() loop of its own.
   std::vector<BenchRow> rows;
   bool all_zero = true;
+  bool legs_agree = true;
+  const auto add_row = [&](const std::string& name, const std::string& label,
+                           const ProcessParams& params) {
+    const bool with_run = name == "cobra";
+    const BenchRow row =
+        bench_process(g, name, label, params, seed, trials, with_run);
+    const Leg none;
+    const Leg& run = row.run ? *row.run : none;
+    const double legs = row.run ? 2 : 1;
+    const double per_trial =
+        row.trials > 1
+            ? static_cast<double>(row.stepped.steady_allocations +
+                                  run.steady_allocations) /
+                  (legs * static_cast<double>(row.trials - 1))
+            : 0;
+    all_zero = all_zero && row.allocation_free();
+    legs_agree = legs_agree && row.legs_agree();
+    char run_rate[32] = "-";
+    if (row.run) {
+      std::snprintf(run_rate, sizeof run_rate, "%.0f", run.rounds_per_sec());
+    }
+    std::printf("%-16s %7zu %12.0f %12s %11.1f/t %12llu%s%s\n",
+                row.name.c_str(), row.trials, row.stepped.rounds_per_sec(),
+                run_rate, per_trial,
+                static_cast<unsigned long long>(
+                    row.stepped.warmup_allocations + run.warmup_allocations),
+                row.allocation_free() ? "" : "  [ALLOCATES]",
+                row.legs_agree() ? "" : "  [LEGS DIFFER]");
+    rows.push_back(row);
+  };
   for (const std::string& name : process_names()) {
     ProcessParams params;
     if (name == "sis") params.emplace_back("max_rounds", "4096");
-    const BenchRow row = bench_process(g, name, params, seed, trials);
-    const double per_trial =
-        row.trials > 1 ? static_cast<double>(row.steady_allocations) /
-                             static_cast<double>(row.trials - 1)
-                       : 0;
-    all_zero = all_zero && row.steady_allocations == 0;
-    std::printf("%-16s %9zu %12.0f %11.1f/t %12llu%s\n", row.name.c_str(),
-                row.trials, row.rounds_per_sec(), per_trial,
-                static_cast<unsigned long long>(row.warmup_allocations),
-                row.steady_allocations == 0 ? "" : "  [ALLOCATES]");
-    rows.push_back(row);
+    add_row(name, name, params);
+    if (name == "cobra") add_row(name, "cobra k=1", {{"k", "1"}});
   }
   std::printf(all_zero
                   ? "steady state: zero per-trial allocations across the "
                     "registry\n"
                   : "steady state: some processes still allocate per trial\n");
+  if (!legs_agree) {
+    std::printf("run() and the stepped loop ran different rounds\n");
+  }
 
   // Batched-engine gate: after the warm-up block, every run_block of the
   // lockstep engine must be allocation-free too (curve recording off, the
@@ -370,20 +432,33 @@ int main(int argc, char** argv) {
                all_zero ? "true" : "false");
   std::fprintf(out, "  \"zero_steady_state_batched_allocations\": %s,\n",
                batched_zero ? "true" : "false");
+  std::fprintf(out, "  \"run_matches_stepped\": %s,\n",
+               legs_agree ? "true" : "false");
   std::fprintf(out, "  \"processes\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& row = rows[i];
+    // The top-level fields are the stepped leg; "run" is Process::run.
     std::fprintf(
         out,
         "    {\"name\": \"%s\", \"trials\": %zu, \"completed\": %zu, "
         "\"warmup_allocations\": %llu, \"steady_allocations\": %llu, "
         "\"total_rounds\": %llu, \"steady_seconds\": %.6f, "
-        "\"rounds_per_sec\": %.1f}%s\n",
-        row.name.c_str(), row.trials, row.completed,
-        static_cast<unsigned long long>(row.warmup_allocations),
-        static_cast<unsigned long long>(row.steady_allocations),
-        static_cast<unsigned long long>(row.total_rounds), row.steady_seconds,
-        row.rounds_per_sec(), i + 1 < rows.size() ? "," : "");
+        "\"rounds_per_sec\": %.1f",
+        row.name.c_str(), row.trials, row.stepped.completed,
+        static_cast<unsigned long long>(row.stepped.warmup_allocations),
+        static_cast<unsigned long long>(row.stepped.steady_allocations),
+        static_cast<unsigned long long>(row.stepped.total_rounds),
+        row.stepped.steady_seconds, row.stepped.rounds_per_sec());
+    if (row.run) {
+      std::fprintf(out,
+                   ", \"run\": {\"warmup_allocations\": %llu, "
+                   "\"steady_allocations\": %llu, \"steady_seconds\": %.6f, "
+                   "\"rounds_per_sec\": %.1f}",
+                   static_cast<unsigned long long>(row.run->warmup_allocations),
+                   static_cast<unsigned long long>(row.run->steady_allocations),
+                   row.run->steady_seconds, row.run->rounds_per_sec());
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"batched\": [\n");
@@ -417,5 +492,5 @@ int main(int argc, char** argv) {
   for (const auto& name : flags.unconsumed()) {
     std::fprintf(stderr, "warning: unrecognized flag --%s\n", name.c_str());
   }
-  return all_zero && batched_zero && telemetry_ok ? 0 : 1;
+  return all_zero && legs_agree && batched_zero && telemetry_ok ? 0 : 1;
 }

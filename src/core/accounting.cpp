@@ -13,12 +13,6 @@ void Accounting::reset() {
   peak_vertex_ = 0;
 }
 
-void Accounting::record_vertex_send(std::uint64_t count) {
-  if (!per_round_.empty()) per_round_.back() += count;
-  total_ += count;
-  peak_vertex_ = std::max(peak_vertex_, count);
-}
-
 std::uint64_t Accounting::peak_round_total() const noexcept {
   std::uint64_t peak = 0;
   for (const std::uint64_t value : per_round_) peak = std::max(peak, value);

@@ -5,6 +5,7 @@
 // comparable across protocols (experiment E12).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -22,8 +23,21 @@ class Accounting {
 
   /// Records `count` messages sent by one vertex. Always feeds total() and
   /// peak_vertex_round(); feeds the current round's entry only when a
-  /// round is open (see begin_round).
-  void record_vertex_send(std::uint64_t count);
+  /// round is open (see begin_round). Inline: COBRA's draw loop calls it
+  /// once per frontier vertex.
+  void record_vertex_send(std::uint64_t count) noexcept {
+    if (!per_round_.empty()) per_round_.back() += count;
+    total_ += count;
+    peak_vertex_ = std::max(peak_vertex_, count);
+  }
+
+  /// Records `steps` rounds in which one vertex sent one message, with no
+  /// round open: the totals of that many record_vertex_send(1) calls. For
+  /// COBRA's k = 1 walk loop, which runs at least one round.
+  void record_walk_steps(std::uint64_t steps) noexcept {
+    total_ += steps;
+    peak_vertex_ = std::max<std::uint64_t>(peak_vertex_, 1);
+  }
 
   std::uint64_t total() const noexcept { return total_; }
   std::size_t rounds() const noexcept { return per_round_.size(); }

@@ -143,20 +143,8 @@ std::size_t CobraProcess::step(Rng& rng) {
   const bool fractional = branching.is_fractional();
   BernoulliSkipper extra(fractional ? branching.rho : 0.0);
 
-  // Raw CSR pointers keep the draw loop free of span re-construction; on a
-  // regular graph the offsets array is bypassed entirely (begin = v * r).
-  // Offsets are width-adaptive (32-bit unless 2m >= 2^32); the single
-  // `wide` branch below predicts perfectly.
-  const std::uint32_t* off32 = graph_->offsets32().data();
-  const std::uint64_t* off64 = graph_->offsets64().data();
-  const bool wide = graph_->offsets_are_wide();
-  const Vertex* adjacency = graph_->adjacency().data();
-  const int regular = graph_->regularity();
   std::uint64_t* visit = visit_.data();
-  // Weighted draws overlay the alias tables on the same CSR offsets; the
-  // uniform path (weighted == false) is untouched, draw for draw.
-  const bool weighted = options_.weighted;
-  const GraphAliasTables* alias = alias_;
+  const Draws draw = draws();
 
   const auto apply = [&](Vertex w) {
     const std::uint64_t state = visit[w];  // one line: membership + visit
@@ -177,27 +165,6 @@ std::size_t CobraProcess::step(Rng& rng) {
     }
   };
 
-  const auto neighbor_block = [&](Vertex v, std::uint32_t& degree,
-                                  std::size_t& begin) {
-    if (regular >= 0) {
-      degree = static_cast<std::uint32_t>(regular);
-      begin = static_cast<std::size_t>(v) * degree;
-      return adjacency + begin;
-    }
-    begin = wide ? off64[v] : off32[v];
-    const std::size_t end = wide ? off64[v + 1] : off32[v + 1];
-    degree = static_cast<std::uint32_t>(end - begin);
-    return adjacency + begin;
-  };
-
-  /// Index of the chosen neighbour within v's block. Uniform: one Lemire
-  /// draw (the historical stream). Weighted: the one shared alias-draw
-  /// sequence (GraphAliasTables::draw_index).
-  const auto draw_index = [&](std::size_t begin, std::uint32_t degree) {
-    return weighted ? alias->draw_index(begin, degree, rng)
-                    : rng.next_below32(degree);
-  };
-
   // The frontier is processed in small batches: all of a batch's draws are
   // made first (prefetching the visit words they will touch), then applied
   // in draw order. Draws never read visit state, so the RNG stream and the
@@ -215,7 +182,7 @@ std::size_t CobraProcess::step(Rng& rng) {
       const Vertex v = frontier_[batch_end];
       std::uint32_t degree;
       std::size_t begin;
-      const Vertex* nbrs = neighbor_block(v, degree, begin);
+      const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
       // Number of pushes this vertex performs this round.
       const unsigned pushes =
           fractional ? 1u + (extra.next(rng) ? 1u : 0u) : branching.k;
@@ -226,11 +193,11 @@ std::size_t CobraProcess::step(Rng& rng) {
       if (buffered + pushes > kBufferSize) {
         // Oversized branching factor: draw and apply this vertex inline.
         for (unsigned p = 0; p < pushes; ++p) {
-          apply(nbrs[draw_index(begin, degree)]);
+          apply(nbrs[draw.draw_index(begin, degree, rng)]);
         }
       } else {
         for (unsigned p = 0; p < pushes; ++p) {
-          const Vertex w = nbrs[draw_index(begin, degree)];
+          const Vertex w = nbrs[draw.draw_index(begin, degree, rng)];
           buffer[buffered++] = w;
           __builtin_prefetch(&visit[w], 1);
         }
@@ -256,6 +223,51 @@ std::size_t CobraProcess::step(Rng& rng) {
   visited_count_ += new_visits;
   round_ = next_round;
   return new_visits;
+}
+
+void CobraProcess::run_unobserved(Rng& rng) {
+  const Branching& branching = options_.branching;
+  if (branching.is_fractional() || branching.k != 1) return;
+  // Under k = 1 the frontier never grows, so once it is one vertex it
+  // stays one.
+  while (!done() && frontier_size_ > 1) step(rng);
+  if (!done()) walk(rng);
+}
+
+void CobraProcess::walk(Rng& rng) {
+  // The loop is step() for a one-vertex frontier and one push: no
+  // coalescing is possible, every round sends one message, and round r's
+  // stamp goes to the vertex drawn. Locals keep the state in registers.
+  Rng local = rng;
+  Vertex position = frontier()[0];
+  Round round = round_;
+  std::size_t visited = visited_count_;
+  const std::size_t n = graph_->num_vertices();
+  const std::size_t max_rounds = options_.max_rounds;
+  std::uint64_t* visit = visit_.data();
+  const Stamp base = base_;
+  const Draws draw = draws();
+  while (visited != n && round < max_rounds) {
+    std::uint32_t degree;
+    std::size_t begin;
+    const Vertex* nbrs = draw.neighbor_block(position, degree, begin);
+    position = nbrs[draw.draw_index(begin, degree, local)];
+    ++round;
+    const Stamp next = base + round;
+    const std::uint64_t state = visit[position];
+    if (static_cast<Stamp>(state >> 32) >= base) {
+      visit[position] = (state & 0xFFFFFFFF00000000ULL) | next;
+    } else {
+      visit[position] = (static_cast<std::uint64_t>(next) << 32) | next;
+      ++visited;
+    }
+  }
+  accounting_.record_walk_steps(round - round_);
+  rng = local;
+  frontier_.assign(1, position);
+  frontier_list_valid_ = true;
+  visited_count_ = visited;
+  round_ = round;
 }
 
 void CobraProcess::step_faulty(Rng& rng) {

@@ -148,8 +148,59 @@ class CobraProcess final : public Process {
     step(rng);
   }
   bool curve_enabled() const override { return options_.record_curves; }
+  /// Under fixed k = 1: steps until the frontier is one vertex and runs the
+  /// rest of the trial as walk(). Any other branching runs no rounds here.
+  void run_unobserved(Rng& rng) override;
 
  private:
+  /// The arrays a round's draws read, copied out of the graph once per
+  /// step() or walk(), so the draw loops keep them in registers instead
+  /// of reloading them through graph_ after every store.
+  struct Draws {
+    const std::uint32_t* off32 = nullptr;
+    const std::uint64_t* off64 = nullptr;
+    const Vertex* adjacency = nullptr;
+    const GraphAliasTables* alias = nullptr;  ///< null unless weighted
+    int regular = -1;   ///< common degree, -1 if irregular
+    bool wide = false;  ///< 64-bit offsets (2m >= 2^32)
+
+    /// v's neighbour block: returns its first entry and sets `degree` and
+    /// `begin`, the block's CSR slot. A regular graph skips the offsets
+    /// (begin = v * r).
+    const Vertex* neighbor_block(Vertex v, std::uint32_t& degree,
+                                 std::size_t& begin) const noexcept {
+      if (regular >= 0) {
+        degree = static_cast<std::uint32_t>(regular);
+        begin = static_cast<std::size_t>(v) * degree;
+        return adjacency + begin;
+      }
+      begin = wide ? off64[v] : off32[v];
+      const std::size_t end = wide ? off64[v + 1] : off32[v + 1];
+      degree = static_cast<std::uint32_t>(end - begin);
+      return adjacency + begin;
+    }
+
+    /// Index of the chosen neighbour within the block at CSR slot `begin`.
+    /// Uniform: one Lemire draw (the historical stream). Weighted: the one
+    /// shared alias-draw sequence (GraphAliasTables::draw_index).
+    std::uint32_t draw_index(std::size_t begin, std::uint32_t degree,
+                             Rng& rng) const noexcept {
+      return alias != nullptr ? alias->draw_index(begin, degree, rng)
+                              : rng.next_below32(degree);
+    }
+  };
+  Draws draws() const noexcept {
+    return {graph_->offsets32().data(), graph_->offsets64().data(),
+            graph_->adjacency().data(), alias_,
+            graph_->regularity(),       graph_->offsets_are_wide()};
+  }
+
+  /// The rest of the trial as a simple random walk, for a one-vertex
+  /// frontier under fixed k = 1 with no curve recorded: the position,
+  /// round, visit count and RNG live in locals, with the same draws,
+  /// visit_ stamps and accounting totals as step() would produce.
+  void walk(Rng& rng);
+
   /// Fault-aware round (core/faults.hpp). Tokens are conserved, never
   /// corrupted: a down frontier vertex keeps its token in place for the
   /// round (so a start vertex that is down at round 0 simply waits — see

@@ -90,6 +90,9 @@ SpreadResult Process::result() const {
 
 SpreadResult Process::run(Rng rng, std::span<const Vertex> starts) {
   reset(rng, starts);
+  if (observer_ == nullptr && fault_session_ == nullptr && !curve_enabled()) {
+    run_unobserved(rng_);
+  }
   while (!done()) step();
   return result();
 }

@@ -143,7 +143,9 @@ class Process {
   /// The uniform result snapshot for the rounds executed so far.
   SpreadResult result() const;
 
-  /// reset() + step() until done(); returns result().
+  /// reset() + step() until done(); returns result(). With no observer,
+  /// fault model or curve attached, run_unobserved() may run the first
+  /// rounds, ending in the same state.
   SpreadResult run(Rng rng, Vertex start) {
     return run(rng, std::span<const Vertex>(&start, 1));
   }
@@ -196,6 +198,12 @@ class Process {
   virtual void do_reset(std::span<const Vertex> starts) = 0;
   /// One round, drawing only from `rng`.
   virtual void do_step(Rng& rng) = 0;
+  /// Called by run() after reset() when no observer, fault model or curve
+  /// is attached, so no per-round hook has to run. An override may run any
+  /// number of rounds in its own loop, drawing from `rng`, and must end in
+  /// exactly the state as many step() calls reach, draw for draw; run()
+  /// steps whatever is left. The default runs none.
+  virtual void run_unobserved(Rng& rng) { (void)rng; }
   /// Whether reset()/step() record the curve (off for bulk Monte Carlo).
   virtual bool curve_enabled() const { return true; }
   /// reserve() hint applied once per workspace: the expected curve length,

@@ -142,6 +142,8 @@ struct Coordinator::Impl {
     } catch (const ProtocolError&) {
       // Connection died (kill -9 closes the socket; a torn frame reads the
       // same) — the lease release below is the repair path.
+    } catch (const SpecError& e) {
+      fail(e.what());  // the journal could not be written: stop the campaign
     }
     const std::size_t requeued = id != 0 ? lease->release_worker(id) : 0;
     {
@@ -516,6 +518,7 @@ CoordinatorResult Coordinator::serve() {
   }
   result.requeues = impl.lease->stats().requeues;
 
+  if (impl.journal) impl.journal->close();
   if (result.complete && !impl.stem.empty()) {
     scenario::write_campaign_sinks(impl.plan, impl.results, impl.stem);
   }

@@ -370,6 +370,12 @@ void write_campaign_sinks(const CampaignPlan& plan,
     jsonl << jsonl_record(plan, job, job_result) << '\n';
     csv << csv_row(plan, job, job_result) << '\n';
   }
+  // A full disk fails the buffered writes or the final flush; either
+  // leaves a truncated sink, which must not pass for a finished campaign.
+  jsonl.close();
+  if (!jsonl) throw SpecError("failed writing '" + stem + ".jsonl'");
+  csv.close();
+  if (!csv) throw SpecError("failed writing '" + stem + ".csv'");
 }
 
 CampaignResult run_campaign(const CampaignPlan& plan,
@@ -432,7 +438,8 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   });
   const std::size_t total = plan.jobs.size();
   // Hooks run one at a time (JobRunner serializes them), so the journal and
-  // the result vector need no lock of their own.
+  // the result vector need no lock of their own. A journal write that fails
+  // throws out of the hook and fails the campaign.
   JobRunner::Hooks hooks;
   if (journal) {
     // Build timing goes to the metrics registry (status.json's graph_builds
@@ -528,6 +535,9 @@ CampaignResult run_campaign(const CampaignPlan& plan,
 
   runner.run(plan, pending, cache, telemetry.get(), hooks);
   if (reporter != nullptr) reporter->stop();
+  // The last group commit: every frame is on disk before the sinks that
+  // claim the campaign finished.
+  if (journal) journal->close();
 
   result.complete = true;
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -119,13 +121,17 @@ std::string journal_header(const CampaignPlan& plan) {
   return buf;
 }
 
-/// Flush to the kernel, then to the platter. Worker kills make partial
-/// writes routine; an fsync per frame bounds the loss to exactly the frame
-/// being written when the power went (and the restore parser drops that
-/// torn tail and re-runs its job).
-void flush_and_sync(std::FILE* out) {
-  std::fflush(out);
-  ::fsync(::fileno(out));
+/// Flush to the kernel, then to the disk; false if either failed. The
+/// resume rewrite (before its rename) and Journal::close() always sync;
+/// appends sync at most once per Journal::kSyncInterval, since a process
+/// kill loses nothing the kernel already holds.
+bool flush_and_sync(std::FILE* out) {
+  return std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+}
+
+std::string io_error(const char* what, const std::string& path) {
+  return std::string(what) + " journal '" + path + "': " +
+         std::strerror(errno);
 }
 
 }  // namespace
@@ -378,30 +384,48 @@ Journal::Journal(const std::string& path, const CampaignPlan& plan,
       ok = ok && std::fprintf(rewrite, "job %zu %zu %s\n", index,
                               payload.size(), payload.c_str()) > 0;
     }
-    flush_and_sync(rewrite);
-    ok = ok && std::ferror(rewrite) == 0;
-    std::fclose(rewrite);
-    if (!ok) throw SpecError("failed writing journal '" + tmp + "'");
+    ok = flush_and_sync(rewrite) && ok;
+    ok = std::fclose(rewrite) == 0 && ok;
+    if (!ok) throw SpecError(io_error("failed writing", tmp));
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw SpecError("cannot replace journal '" + path + "'");
   }
   for (const auto& [index, result] : restored_) written_.insert(index);
+  path_ = path;
   out_ = std::fopen(path.c_str(), "a");
   if (out_ == nullptr) {
     throw SpecError("cannot open journal '" + path + "' for writing");
   }
+  last_sync_ = std::chrono::steady_clock::now();  // the rewrite was synced
 }
 
 Journal::~Journal() {
-  if (out_ != nullptr) std::fclose(out_);
+  try {
+    close();
+  } catch (const std::exception& e) {
+    // Reached without close(), typically while another error unwinds.
+    std::fprintf(stderr, "warning: %s\n", e.what());
+  }
+}
+
+void Journal::write_frame(const std::string& frame) {
+  if (std::fputs(frame.c_str(), out_) == EOF || std::fflush(out_) != 0) {
+    throw SpecError(io_error("failed writing", path_));
+  }
+  // Group commit: one fsync covers every frame written since the last.
+  const auto now = std::chrono::steady_clock::now();
+  if (now - last_sync_ < kSyncInterval) return;
+  if (::fsync(::fileno(out_)) != 0) {
+    throw SpecError(io_error("failed syncing", path_));
+  }
+  last_sync_ = now;
 }
 
 void Journal::append(std::size_t index, const JobResult& result) {
   const std::string payload = serialize_job_result(result);
-  std::fprintf(out_, "job %zu %zu %s\n", index, payload.size(),
-               payload.c_str());
-  flush_and_sync(out_);
+  write_frame("job " + std::to_string(index) + " " +
+              std::to_string(payload.size()) + " " + payload + "\n");
   written_.insert(index);
 }
 
@@ -412,8 +436,18 @@ bool Journal::merge(std::size_t index, const JobResult& result) {
 }
 
 void Journal::note(const std::string& text) {
-  std::fprintf(out_, "note %s\n", text.c_str());
-  flush_and_sync(out_);
+  write_frame("note " + text + "\n");
+}
+
+void Journal::close() {
+  if (out_ == nullptr) return;
+  std::string error;
+  if (!flush_and_sync(out_)) error = io_error("failed syncing", path_);
+  if (std::fclose(out_) != 0 && error.empty()) {
+    error = io_error("failed closing", path_);
+  }
+  out_ = nullptr;
+  if (!error.empty()) throw SpecError(error);
 }
 
 }  // namespace cobra::scenario

@@ -8,13 +8,21 @@
 //   job <index> <payload-bytes> <payload>
 // The payload is a whitespace-separated JobResult serialization whose
 // doubles round-trip exactly (%.17g), so records restored on resume render
-// byte-identically to freshly computed ones. Each line is flushed *and
-// fsync'd* as the job completes — with distributed workers a kill is a
-// routine event, not an edge case — and a frame torn by a kill mid-write
-// fails its length check on restore and is simply re-run (the restore
-// rewrite truncates it away and continues).
+// byte-identically to freshly computed ones.
+//
+// Durability is a group commit. Every frame is written and flushed to the
+// kernel before append/merge/note return, so a `kill -9` of the process
+// (with distributed workers a routine event) loses no appended frame. The
+// fsync is rate-limited: a frame written 50 ms or more after the last sync
+// syncs every frame so far, and close() syncs the rest. After an OS crash
+// or power loss a resume re-runs at most the jobs appended within one
+// 50 ms window. A frame torn mid-write fails its length check on restore
+// and is simply re-run (the restore rewrite truncates it away and
+// continues). Any failed write or sync throws SpecError, so a full disk
+// never truncates a campaign silently.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -56,6 +64,9 @@ bool parse_job_result(const std::string& payload, JobResult& result);
 
 class Journal {
  public:
+  /// Group-commit period: frames are fsync'd at most this often.
+  static constexpr std::chrono::milliseconds kSyncInterval{50};
+
   /// Opens `path`. With resume=true an existing journal whose header
   /// matches is replayed into restored(); a header mismatch throws
   /// SpecError (the spec changed under the journal). The file is then
@@ -63,6 +74,8 @@ class Journal {
   /// a kill mid-write is dropped before new appends follow it.
   Journal(const std::string& path, const CampaignPlan& plan, bool resume);
 
+  /// Syncs and closes without throwing (a failure is printed to stderr);
+  /// call close() first to handle it.
   ~Journal();
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
@@ -78,9 +91,11 @@ class Journal {
     return written_.count(index) != 0;
   }
 
-  /// Appends one completed job, flushes, and fsyncs. Not thread-safe;
-  /// callers serialize (the campaign runner appends under its results
-  /// mutex, the dist coordinator under its merge mutex).
+  /// Writes and flushes one completed job's frame, and fsyncs the file if
+  /// kSyncInterval has passed since the last sync. Throws SpecError if the
+  /// write or the sync fails. Not thread-safe; callers serialize (the
+  /// campaign runner appends under its report mutex, the dist coordinator
+  /// under its merge mutex).
   void append(std::size_t index, const JobResult& result);
 
   /// Merge-by-frame: appends `result` only if `index` has no frame yet,
@@ -91,14 +106,26 @@ class Journal {
   /// run whatever the worker failure pattern.
   bool merge(std::size_t index, const JobResult& result);
 
-  /// Appends a free-form telemetry frame ("note <text>") and flushes —
+  /// Writes a free-form telemetry frame ("note <text>") like append() —
   /// e.g. per-graph build times or worker build-info stamps. Note frames
   /// are skipped by the resume parser and dropped on rewrite; they never
   /// affect campaign results.
   void note(const std::string& text);
 
+  /// Syncs every frame still unsynced and closes the file. Throws
+  /// SpecError if the sync or the close fails. Campaigns call it before
+  /// writing their sinks. Further calls do nothing; appends after it are
+  /// invalid.
+  void close();
+
  private:
+  /// Writes and flushes `frame`, then fsyncs if kSyncInterval has passed
+  /// since last_sync_.
+  void write_frame(const std::string& frame);
+
+  std::string path_;
   std::FILE* out_ = nullptr;
+  std::chrono::steady_clock::time_point last_sync_;
   std::map<std::size_t, JobResult> restored_;
   std::set<std::size_t> written_;  ///< restored + appended indices
 };

@@ -1,18 +1,21 @@
 // SPDX-License-Identifier: MIT
 //
 // COBRA process tests: frontier semantics, coalescing, cover invariants,
-// Theorem-shaped behaviour on known families, and the exact k=1
-// random-walk degeneration.
+// Theorem-shaped behaviour on known families, the exact k=1 random-walk
+// degeneration, and run() against the stepped loop (k = 1 runs as a walk
+// loop inside run()).
 #include "core/cobra.hpp"
 
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "protocols/random_walk.hpp"
 
 namespace cobra {
@@ -287,6 +290,102 @@ TEST(Cobra, K4CoversFasterThanK2OnAverage) {
     total4 += static_cast<double>(run_cobra_cover(g, 0, k4, r4).rounds);
   }
   EXPECT_LT(total4, total2);
+}
+
+// ---- run() vs reset() + step(): the k = 1 walk loop ----
+
+/// Runs the same trials through run() on one workspace and through
+/// reset() + step() on another, reusing both across seeds; the results,
+/// the first-visit rounds and the final frontiers must agree.
+void expect_run_matches_steps(const Graph& g,
+                              const std::vector<Vertex>& starts,
+                              CobraOptions options) {
+  options.record_curves = false;  // the walk loop never records a curve
+  CobraProcess ran(g, starts, options);
+  CobraProcess stepped(g, starts, options);
+  for (const std::uint64_t seed : {3u, 77u, 4242u}) {
+    const SpreadResult via_run = ran.run(Rng(seed), starts);
+    stepped.reset(Rng(seed), starts);
+    while (!stepped.done()) stepped.step();
+    EXPECT_EQ(via_run, stepped.result()) << g.name() << " seed " << seed;
+    EXPECT_EQ(ran.first_visit_rounds(), stepped.first_visit_rounds())
+        << g.name() << " seed " << seed;
+    const std::span<const Vertex> a = ran.frontier();
+    const std::span<const Vertex> b = stepped.frontier();
+    EXPECT_EQ(std::vector<Vertex>(a.begin(), a.end()),
+              std::vector<Vertex>(b.begin(), b.end()))
+        << g.name() << " seed " << seed;
+  }
+}
+
+CobraOptions k1_options() {
+  CobraOptions options;
+  options.branching = Branching::fixed(1);
+  return options;
+}
+
+TEST(CobraRun, K1MatchesSteppedLoopOnRandomRegular) {
+  Rng rng(31);
+  const Graph g = gen::connected_random_regular(256, 8, rng);
+  for (const FrontierMode mode :
+       {FrontierMode::kAuto, FrontierMode::kSparse, FrontierMode::kDense}) {
+    CobraOptions options = k1_options();
+    options.frontier_mode = mode;
+    expect_run_matches_steps(g, {5}, options);
+  }
+}
+
+TEST(CobraRun, K1MatchesSteppedLoopOnIrregularGraph) {
+  expect_run_matches_steps(gen::lollipop(12, 20), {0}, k1_options());
+  expect_run_matches_steps(gen::grid({9, 7}, false), {3}, k1_options());
+}
+
+TEST(CobraRun, K1MatchesSteppedLoopOnWeightedGraph) {
+  Graph g = gen::torus({12, 12});
+  gen::generate_weights(g, gen::WeightKind::kExp, 17);
+  CobraOptions options = k1_options();
+  options.weighted = true;  // alias draws: two RNG draws per step
+  expect_run_matches_steps(g, {0}, options);
+}
+
+TEST(CobraRun, K1MatchesSteppedLoopBelowTheCoverTime) {
+  Rng rng(32);
+  const Graph g = gen::connected_random_regular(512, 8, rng);
+  CobraOptions options = k1_options();
+  options.max_rounds = 200;
+  options.record_curves = false;
+  expect_run_matches_steps(g, {9}, options);
+  CobraProcess process(g, 9, options);
+  const SpreadResult result = process.run(Rng(3), 9);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.rounds, 200u);
+  EXPECT_EQ(result.total_transmissions, 200u);
+}
+
+TEST(CobraRun, K1TwoStartsCoalesceThenWalk) {
+  // Two walkers on star leaves both step to the centre and coalesce in
+  // round 1; the frontier then stays one vertex and the rest of the trial
+  // runs as the walk loop.
+  const Graph g = gen::star(24);
+  const std::vector<Vertex> starts = {2, 11};
+  expect_run_matches_steps(g, starts, k1_options());
+  CobraOptions options = k1_options();
+  options.record_curves = false;
+  CobraProcess process(g, starts, options);
+  const SpreadResult result = process.run(Rng(3), starts);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(process.first_visit_round(0), 1u);
+  EXPECT_EQ(result.total_transmissions, result.rounds + 1);
+}
+
+TEST(CobraRun, BranchingProcessesMatchSteppedLoop) {
+  Rng rng(33);
+  const Graph g = gen::connected_random_regular(256, 8, rng);
+  CobraOptions k2;
+  expect_run_matches_steps(g, {1}, k2);
+  CobraOptions fractional;
+  fractional.branching = Branching::fractional(0.3);
+  expect_run_matches_steps(g, {1}, fractional);
 }
 
 }  // namespace

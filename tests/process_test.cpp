@@ -228,14 +228,27 @@ TEST(ProcessLifecycle, BudgetExhaustionIsDoneButNotCompleted) {
 }
 
 TEST(ProcessLifecycle, StepwiseDrivingMatchesRun) {
+  // With nothing observing the rounds (record_curve = 0), run() lets a
+  // process take its own loop first (COBRA at k = 1: the walk loop); it
+  // must still end exactly where stepping does, for every process.
   Rng graph_rng(8);
   const Graph g = gen::connected_random_regular(48, 4, graph_rng);
-  const auto a = make_process(g, "cobra", {});
-  const auto b = make_process(g, "cobra", {});
-  const SpreadResult via_run = a->run(Rng(17), 2);
-  b->reset(Rng(17), 2);
-  while (!b->done()) b->step();
-  EXPECT_EQ(b->result(), via_run);
+  std::vector<std::pair<std::string, ProcessParams>> cases = {
+      {"cobra", {}}, {"cobra", {{"record_curve", "0"}, {"k", "1"}}}};
+  for (const std::string& name : process_names()) {
+    ProcessParams params = {{"record_curve", "0"}};
+    if (name == "sis") params.emplace_back("max_rounds", "300");
+    cases.emplace_back(name, params);
+  }
+  for (const auto& [name, params] : cases) {
+    const auto a = make_process(g, name, params);
+    const auto b = make_process(g, name, params);
+    const SpreadResult via_run = a->run(Rng(17), 2);
+    b->reset(Rng(17), 2);
+    while (!b->done()) b->step();
+    EXPECT_EQ(b->result(), via_run) << name;
+    EXPECT_EQ(a->active_count(), b->active_count()) << name;
+  }
 }
 
 // ---- factory metadata ----

@@ -6,6 +6,7 @@
 // and — the checkpoint/resume contract — a killed-and-resumed campaign
 // producing byte-identical final output to an uninterrupted run.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -779,6 +780,55 @@ TEST(Journal, OlderFormatVersionIsRefusedOnResume) {
   for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }
+}
+
+TEST(Journal, FramesAreInTheFileWhenAppendReturns) {
+  // Group commit defers only the fsync: a kill -9 right after append()
+  // returns must find the frame in the file.
+  const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
+  const std::string path = ::testing::TempDir() + "scenario_flushed.journal";
+  std::remove(path.c_str());
+  JobResult result;
+  result.trials = plan.trials;
+  const double rounds[] = {7.0};
+  result.rounds = summarize(rounds);
+  result.transmissions = summarize(rounds);
+  result.graph_name = "g";
+  Journal journal(path, plan, /*resume=*/false);
+  journal.note("graph built");
+  journal.append(2, result);
+  const std::string payload = serialize_job_result(result);
+  EXPECT_NE(read_file(path).find("note graph built\njob 2 " +
+                                 std::to_string(payload.size()) + " " +
+                                 payload + "\n"),
+            std::string::npos);
+  journal.close();
+  journal.close();  // idempotent
+  Journal reloaded(path, plan, /*resume=*/true);
+  EXPECT_EQ(reloaded.restored().size(), 1u);
+  EXPECT_TRUE(reloaded.contains(2));
+  reloaded.close();
+  std::remove(path.c_str());
+}
+
+TEST(CampaignSinks, FullDiskThrowsInsteadOfTruncating) {
+  if (std::ifstream("/dev/full").fail()) GTEST_SKIP() << "no /dev/full";
+  const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
+  const CampaignResult result = run_campaign(plan, CampaignOptions{});
+  ASSERT_TRUE(result.complete);
+  const std::string stem = ::testing::TempDir() + "scenario_full_disk";
+  for (const char* ext : {".jsonl", ".csv"}) {
+    std::remove((stem + ext).c_str());
+    ASSERT_EQ(::symlink("/dev/full", (stem + ext).c_str()), 0) << ext;
+  }
+  expect_spec_error([&] { write_campaign_sinks(plan, result.jobs, stem); },
+                    "failed writing '" + stem + ".jsonl'");
+  for (const char* ext : {".jsonl", ".csv"}) std::remove((stem + ext).c_str());
+  // The CSV alone on a full disk fails too.
+  ASSERT_EQ(::symlink("/dev/full", (stem + ".csv").c_str()), 0);
+  expect_spec_error([&] { write_campaign_sinks(plan, result.jobs, stem); },
+                    "failed writing '" + stem + ".csv'");
+  for (const char* ext : {".jsonl", ".csv"}) std::remove((stem + ext).c_str());
 }
 
 TEST(Sweep, StartRotationSkipsIsolatedVertices) {
