@@ -21,22 +21,21 @@ class Accounting {
   /// Discards all recorded rounds; used when a process is reset for reuse.
   void reset();
 
-  /// Records `count` messages sent by one vertex. Always feeds total() and
-  /// peak_vertex_round(); feeds the current round's entry only when a
-  /// round is open (see begin_round). Inline: COBRA's draw loop calls it
-  /// once per frontier vertex.
-  void record_vertex_send(std::uint64_t count) noexcept {
-    if (!per_round_.empty()) per_round_.back() += count;
-    total_ += count;
-    peak_vertex_ = std::max(peak_vertex_, count);
+  /// Records `vertices` vertices that each sent `count` messages in one
+  /// round. Always feeds total() and peak_vertex_round(); feeds the
+  /// current round's entry only when a round is open (see begin_round).
+  /// Inline: COBRA calls it once per round (fixed k), once per frontier
+  /// vertex (fractional k), and once for a whole k = 1 walk (no round
+  /// open, one message in each of `vertices` rounds).
+  void record_sends(std::uint64_t vertices, std::uint64_t count) noexcept {
+    if (!per_round_.empty()) per_round_.back() += vertices * count;
+    total_ += vertices * count;
+    if (vertices != 0) peak_vertex_ = std::max(peak_vertex_, count);
   }
 
-  /// Records `steps` rounds in which one vertex sent one message, with no
-  /// round open: the totals of that many record_vertex_send(1) calls. For
-  /// COBRA's k = 1 walk loop, which runs at least one round.
-  void record_walk_steps(std::uint64_t steps) noexcept {
-    total_ += steps;
-    peak_vertex_ = std::max<std::uint64_t>(peak_vertex_, 1);
+  /// Records `count` messages sent by one vertex: record_sends(1, count).
+  void record_vertex_send(std::uint64_t count) noexcept {
+    record_sends(1, count);
   }
 
   std::uint64_t total() const noexcept { return total_; }

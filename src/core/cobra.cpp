@@ -2,18 +2,48 @@
 #include "core/cobra.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "rand/sampling.hpp"
 
 namespace cobra {
 
 namespace {
-/// Re-zero the stamp arrays when the global round counter nears wrap; a
-/// workspace would need ~2^31 cumulative rounds to get here once.
-constexpr std::uint32_t kStampWrapGuard =
-    std::numeric_limits<std::uint32_t>::max() / 2;
+
+/// The one ascending scan of a CobraProcess::VertexSet: calls f(i, word)
+/// for every non-zero word i in ascending order. kDrain empties the set on
+/// the way, zeroing each word and summary word once it has been read.
+template <bool kDrain, typename Set, typename F>
+void scan_words(Set& set, F&& f) {
+  for (std::size_t j = set.lo; j < set.hi; ++j) {
+    std::uint64_t flags = set.summary[j];
+    if (flags == 0) continue;
+    if constexpr (kDrain) set.summary[j] = 0;
+    for (; flags != 0; flags &= flags - 1) {
+      const std::size_t i = j * 64 + std::countr_zero(flags);
+      const std::uint64_t word = set.words[i];
+      if constexpr (kDrain) set.words[i] = 0;
+      f(i, word);
+    }
+  }
+  if constexpr (kDrain) {
+    set.lo = SIZE_MAX;
+    set.hi = 0;
+  }
+}
+
+/// scan_words, calling f(v) for every member v in ascending order.
+template <bool kDrain, typename Set, typename F>
+void scan(Set& set, F&& f) {
+  scan_words<kDrain>(set, [&](std::size_t i, std::uint64_t word) {
+    for (; word != 0; word &= word - 1) {
+      f(static_cast<Vertex>(i * 64 + std::countr_zero(word)));
+    }
+  });
+}
+
 }  // namespace
 
 CobraProcess::CobraProcess(const Graph& g, Vertex start, CobraOptions options)
@@ -21,18 +51,11 @@ CobraProcess::CobraProcess(const Graph& g, Vertex start, CobraOptions options)
 
 CobraProcess::CobraProcess(const Graph& g, std::span<const Vertex> starts,
                            CobraOptions options)
-    : graph_(&g),
-      options_(std::move(options)),
-      visit_(g.num_vertices(), 0),
-      dense_threshold_(std::max<std::size_t>(64, g.num_vertices() / 16)) {
-  if (g.num_vertices() == 0) {
+    : graph_(&g), options_(std::move(options)) {
+  const std::size_t n = g.num_vertices();
+  if (n == 0) {
     throw std::invalid_argument("CobraProcess requires a non-empty graph");
   }
-  // Worst-case list capacity up front (a dense-round materialization can
-  // hold all of C_t, and swap() trades the two vectors' capacities), so a
-  // trial loop's steady state performs zero allocations.
-  frontier_.reserve(g.num_vertices());
-  next_frontier_.reserve(g.num_vertices());
   // Start vertices must have an edge (reset() checks). Isolated vertices
   // elsewhere are harmless: the frontier only reaches vertices along
   // edges, so every active vertex always has a neighbour to choose — such
@@ -49,6 +72,13 @@ CobraProcess::CobraProcess(const Graph& g, std::span<const Vertex> starts,
     // trial loop.
     alias_ = &g.alias_tables();
   }
+  const std::size_t words = (n + 63) / 64;
+  for (VertexSet* set : {&current_, &next_}) {
+    set->words.assign(words, 0);
+    set->summary.assign((words + 63) / 64, 0);
+  }
+  visited_.assign(words, 0);
+  first_visit_.resize(n);
   reset(starts);
 }
 
@@ -70,46 +100,28 @@ void CobraProcess::reset(std::span<const Vertex> starts) {
           "vertex cannot choose a neighbour)");
     }
   }
-  // Advance the stamp base past everything the previous trial wrote
-  // (largest possible stamp: base_ + round_ for both buffers).
-  const std::uint64_t advanced =
-      static_cast<std::uint64_t>(base_) + round_ + 2;
-  if (advanced >= kStampWrapGuard) {
-    std::fill(visit_.begin(), visit_.end(), std::uint64_t{0});
-    base_ = 1;
-  } else {
-    base_ = static_cast<Stamp>(advanced);
+  scan_words<true>(current_, [](std::size_t, std::uint64_t) {});  // empty C_t
+  std::fill(visited_.begin(), visited_.end(), std::uint64_t{0});
+  visited_count_ = 0;
+  for (const Vertex v : starts) {
+    if (has_visited(v)) continue;  // duplicate in the set
+    current_.insert(v);
+    visited_[v / 64] |= std::uint64_t{1} << (v % 64);
+    first_visit_[v] = 0;
+    ++visited_count_;
   }
+  frontier_size_ = visited_count_;
+  frontier_listed_ = false;
   round_ = 0;
   accounting_.reset();
-  seed_frontier(starts);
-}
-
-void CobraProcess::seed_frontier(std::span<const Vertex> starts) {
-  frontier_.clear();
-  const Stamp start_stamp = stamp(0);
-  const std::uint64_t seeded =
-      (static_cast<std::uint64_t>(start_stamp) << 32) | start_stamp;
-  for (const Vertex v : starts) {
-    if (visit_[v] == seeded) continue;  // duplicate in the set
-    visit_[v] = seeded;
-    frontier_.push_back(v);
-  }
-  std::sort(frontier_.begin(), frontier_.end());
-  visited_count_ = frontier_.size();
-  frontier_size_ = frontier_.size();
-  frontier_list_valid_ = true;
 }
 
 std::span<const Vertex> CobraProcess::frontier() const {
-  if (!frontier_list_valid_) {
+  if (!frontier_listed_) {
+    if (frontier_.capacity() == 0) frontier_.reserve(graph_->num_vertices());
     frontier_.clear();
-    const Stamp current = stamp(round_);
-    const std::size_t n = graph_->num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      if (static_cast<Stamp>(visit_[v]) == current) frontier_.push_back(v);
-    }
-    frontier_list_valid_ = true;
+    scan<false>(current_, [&](Vertex v) { frontier_.push_back(v); });
+    frontier_listed_ = true;
   }
   return frontier_;
 }
@@ -123,106 +135,61 @@ std::vector<Round> CobraProcess::first_visit_rounds() const {
 }
 
 std::size_t CobraProcess::step(Rng& rng) {
-  const Round next_round = round_ + 1;
-  const Stamp next = stamp(next_round);
-  // Materialize C_t by one sequential scan if the previous round dropped
-  // the list (dense path). This runs before any draws, so the membership
-  // stamps are still exactly the round-t values, and the scan order makes
-  // the list ascending — the same traversal order the sorted sparse list
-  // has, so the RNG stream is representation-independent.
-  frontier();
-  next_frontier_.clear();
   if (options_.record_curves) accounting_.begin_round();
-  std::size_t new_visits = 0;
-  std::size_t next_size = 0;
-  // Stop listing the next frontier once it is guaranteed dense (it will be
-  // re-materialized from the stamps). Forced-sparse always lists.
-  bool collect = options_.frontier_mode != FrontierMode::kDense;
-
   const Branching& branching = options_.branching;
-  const bool fractional = branching.is_fractional();
-  BernoulliSkipper extra(fractional ? branching.rho : 0.0);
-
-  std::uint64_t* visit = visit_.data();
+  if (!branching.is_fractional() && branching.k == 1 && frontier_size_ == 1) {
+    const std::size_t visited = visited_count_;
+    walk(rng, round_ + 1);
+    return visited_count_ - visited;
+  }
   const Draws draw = draws();
-
-  const auto apply = [&](Vertex w) {
-    const std::uint64_t state = visit[w];  // one line: membership + visit
-    if (static_cast<Stamp>(state) == next) return;  // coalesce
-    if (static_cast<Stamp>(state >> 32) >= base_) {
-      visit[w] = (state & 0xFFFFFFFF00000000ULL) | next;
-    } else {
-      visit[w] = (static_cast<std::uint64_t>(next) << 32) | next;
-      ++new_visits;
-    }
-    ++next_size;
-    if (collect) {
-      next_frontier_.push_back(w);
-      if (options_.frontier_mode == FrontierMode::kAuto &&
-          next_frontier_.size() >= dense_threshold_) {
-        collect = false;
-      }
+  VertexSet& next = next_;
+  const auto push = [&](Vertex v, unsigned pushes) {
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
+    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
+    for (unsigned p = 0; p < pushes; ++p) {
+      next.insert(nbrs[draw.draw_index(begin, degree, rng)]);
     }
   };
-
-  // The frontier is processed in small batches: all of a batch's draws are
-  // made first (prefetching the visit words they will touch), then applied
-  // in draw order. Draws never read visit state, so the RNG stream and the
-  // results are identical to the fused loop — the batching only hides the
-  // random-access latency of visit[w].
-  constexpr std::size_t kBatchVertices = 16;
-  constexpr std::size_t kBufferSize = 64;
-  Vertex buffer[kBufferSize];
-  const std::size_t frontier_count = frontier_.size();
-  std::size_t i = 0;
-  while (i < frontier_count) {
-    std::size_t buffered = 0;
-    std::size_t batch_end = i;
-    while (batch_end < frontier_count && batch_end - i < kBatchVertices) {
-      const Vertex v = frontier_[batch_end];
-      std::uint32_t degree;
-      std::size_t begin;
-      const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
-      // Number of pushes this vertex performs this round.
-      const unsigned pushes =
-          fractional ? 1u + (extra.next(rng) ? 1u : 0u) : branching.k;
-      // Totals/peak are always counted (two scalar ops): transmission
-      // results must not depend on whether curves are recorded. Only the
-      // per-round breakdown is gated (begin_round above).
+  // Totals and peak are always counted: transmission results must not
+  // depend on whether curves are recorded. Only the per-round breakdown
+  // is gated (begin_round above).
+  if (branching.is_fractional()) {
+    BernoulliSkipper extra(branching.rho);
+    scan<true>(current_, [&](Vertex v) {
+      const unsigned pushes = 1u + (extra.next(rng) ? 1u : 0u);
       accounting_.record_vertex_send(pushes);
-      if (buffered + pushes > kBufferSize) {
-        // Oversized branching factor: draw and apply this vertex inline.
-        for (unsigned p = 0; p < pushes; ++p) {
-          apply(nbrs[draw.draw_index(begin, degree, rng)]);
-        }
-      } else {
-        for (unsigned p = 0; p < pushes; ++p) {
-          const Vertex w = nbrs[draw.draw_index(begin, degree, rng)];
-          buffer[buffered++] = w;
-          __builtin_prefetch(&visit[w], 1);
-        }
-      }
-      ++batch_end;
-    }
-    for (std::size_t t = 0; t < buffered; ++t) apply(buffer[t]);
-    i = batch_end;
-  }
-
-  const bool next_dense =
-      options_.frontier_mode == FrontierMode::kDense ||
-      (options_.frontier_mode == FrontierMode::kAuto &&
-       next_size >= dense_threshold_);
-  if (!next_dense && collect) {
-    frontier_.swap(next_frontier_);
-    std::sort(frontier_.begin(), frontier_.end());
-    frontier_list_valid_ = true;
+      push(v, pushes);
+    });
   } else {
-    frontier_list_valid_ = false;
+    const unsigned k = branching.k;
+    accounting_.record_sends(frontier_size_, k);
+    scan<true>(current_, [&](Vertex v) { push(v, k); });
   }
-  frontier_size_ = next_size;
-  visited_count_ += new_visits;
-  round_ = next_round;
-  return new_visits;
+  return finish_round();
+}
+
+std::size_t CobraProcess::finish_round() {
+  const Round round = round_ + 1;
+  std::size_t size = 0;
+  std::size_t fresh_count = 0;
+  scan_words<false>(next_, [&](std::size_t i, std::uint64_t word) {
+    size += static_cast<std::size_t>(std::popcount(word));
+    std::uint64_t fresh = word & ~visited_[i];
+    if (fresh == 0) return;
+    visited_[i] |= fresh;
+    fresh_count += static_cast<std::size_t>(std::popcount(fresh));
+    for (; fresh != 0; fresh &= fresh - 1) {
+      first_visit_[i * 64 + std::countr_zero(fresh)] = round;
+    }
+  });
+  std::swap(current_, next_);
+  frontier_size_ = size;
+  frontier_listed_ = false;
+  visited_count_ += fresh_count;
+  round_ = round;
+  return fresh_count;
 }
 
 void CobraProcess::run_unobserved(Rng& rng) {
@@ -231,103 +198,76 @@ void CobraProcess::run_unobserved(Rng& rng) {
   // Under k = 1 the frontier never grows, so once it is one vertex it
   // stays one.
   while (!done() && frontier_size_ > 1) step(rng);
-  if (!done()) walk(rng);
+  if (!done()) walk(rng, options_.max_rounds);
 }
 
-void CobraProcess::walk(Rng& rng) {
-  // The loop is step() for a one-vertex frontier and one push: no
-  // coalescing is possible, every round sends one message, and round r's
-  // stamp goes to the vertex drawn. Locals keep the state in registers.
+void CobraProcess::walk(Rng& rng, std::size_t round_limit) {
+  // A round of a one-vertex frontier with one push: no coalescing is
+  // possible, the round sends one message, and the vertex drawn in round
+  // r is first visited in r unless already visited. Locals keep the state
+  // in registers.
   Rng local = rng;
-  Vertex position = frontier()[0];
+  Vertex position = 0;
+  scan<true>(current_, [&](Vertex v) { position = v; });
   Round round = round_;
   std::size_t visited = visited_count_;
   const std::size_t n = graph_->num_vertices();
-  const std::size_t max_rounds = options_.max_rounds;
-  std::uint64_t* visit = visit_.data();
-  const Stamp base = base_;
+  std::uint64_t* const seen = visited_.data();
+  Round* const first_visit = first_visit_.data();
   const Draws draw = draws();
-  while (visited != n && round < max_rounds) {
-    std::uint32_t degree;
-    std::size_t begin;
+  do {
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
     const Vertex* nbrs = draw.neighbor_block(position, degree, begin);
     position = nbrs[draw.draw_index(begin, degree, local)];
     ++round;
-    const Stamp next = base + round;
-    const std::uint64_t state = visit[position];
-    if (static_cast<Stamp>(state >> 32) >= base) {
-      visit[position] = (state & 0xFFFFFFFF00000000ULL) | next;
-    } else {
-      visit[position] = (static_cast<std::uint64_t>(next) << 32) | next;
+    const std::uint64_t bit = std::uint64_t{1} << (position % 64);
+    if ((seen[position / 64] & bit) == 0) {
+      seen[position / 64] |= bit;
+      first_visit[position] = round;
       ++visited;
     }
-  }
-  accounting_.record_walk_steps(round - round_);
+  } while (visited != n && round < round_limit);
+  accounting_.record_sends(round - round_, 1);
   rng = local;
-  frontier_.assign(1, position);
-  frontier_list_valid_ = true;
+  current_.insert(position);
+  frontier_listed_ = false;
   visited_count_ = visited;
   round_ = round;
 }
 
 void CobraProcess::step_faulty(Rng& rng) {
   FaultSession& fs = *faults();
-  const Round next_round = round_ + 1;
-  const Stamp next = stamp(next_round);
-  frontier();  // materialize C_t in ascending order (both representations)
-  next_frontier_.clear();
   if (options_.record_curves) accounting_.begin_round();
-  std::size_t new_visits = 0;
-  std::size_t next_size = 0;
-
   const Branching& branching = options_.branching;
   const bool fractional = branching.is_fractional();
   BernoulliSkipper extra(fractional ? branching.rho : 0.0);
-
-  const auto apply = [&](Vertex w) {
-    const std::uint64_t state = visit_[w];
-    if (static_cast<Stamp>(state) == next) return;  // coalesce
-    if (static_cast<Stamp>(state >> 32) >= base_) {
-      visit_[w] = (state & 0xFFFFFFFF00000000ULL) | next;
-    } else {
-      visit_[w] = (static_cast<std::uint64_t>(next) << 32) | next;
-      ++new_visits;
-    }
-    ++next_size;
-    next_frontier_.push_back(w);
-  };
-
-  for (const Vertex v : frontier_) {
+  const Draws draw = draws();
+  scan<true>(current_, [&](Vertex v) {
     if (!fs.can_send(v)) {
       // Down: the token is frozen in place — no sends, no accounting.
-      apply(v);
-      continue;
+      next_.insert(v);
+      return;
     }
     const unsigned pushes =
         fractional ? 1u + (extra.next(rng) ? 1u : 0u) : branching.k;
     accounting_.record_vertex_send(pushes);
-    const auto degree = static_cast<std::uint32_t>(graph_->degree(v));
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
+    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
     bool any_delivered = false;
     for (unsigned p = 0; p < pushes; ++p) {
-      const Vertex w = options_.weighted
-                           ? alias_->draw(*graph_, v, rng)
-                           : graph_->neighbor(v, rng.next_below32(degree));
+      const Vertex w = nbrs[draw.draw_index(begin, degree, rng)];
       if (fs.transmit(v, p, w)) {
-        apply(w);
+        next_.insert(w);
         any_delivered = true;
       }
     }
     // Every push lost/blocked: the token is retained, not extinguished —
     // faults delay coverage, they never kill the process.
-    if (!any_delivered) apply(v);
-  }
-
-  frontier_.swap(next_frontier_);
-  std::sort(frontier_.begin(), frontier_.end());
-  frontier_list_valid_ = true;
-  frontier_size_ = next_size;
-  visited_count_ += new_visits;
-  round_ = next_round;
+    if (!any_delivered) next_.insert(v);
+  });
+  finish_round();
 }
 
 namespace {

@@ -9,14 +9,21 @@
 // coalesce). A vertex that pushed stops until it is chosen again.
 //
 // Engine notes (this class is the Monte Carlo hot path):
-//  * All per-vertex state is epoch-stamped, so reset() rewinds to round 0
-//    in O(|starts|) and trial loops reuse one process per thread instead of
-//    paying an O(n) allocation + refill per trial.
-//  * The frontier is hybrid: a sorted sparse list while small, the stamp
-//    array itself (scanned densely) once it exceeds ~n/16. Both paths
-//    traverse C_t in ascending vertex order, so the RNG stream — and hence
-//    every result — is identical whichever representation is active
-//    (tested in tests/engine_test.cpp).
+//  * C_t, C_{t+1} and the visited set are bitsets (one bit per vertex),
+//    plus a u32 first-visit round per vertex, written only when its
+//    visited bit is first set. C_t and C_{t+1} carry a summary: one bit
+//    per 64-bit word, set when the word goes from zero to non-zero. A
+//    round scans C_t through its summary in ascending vertex order,
+//    emptying it, sets C_{t+1}'s bits for the draws, then merges C_{t+1}
+//    word by word into the visited set (popcounts give |C_{t+1}|, fresh
+//    bits get their first-visit round). A round costs O(n/4096 + words
+//    touched), the bitsets of a 2^17-vertex graph are 16 KiB each, and
+//    reset() is an O(n/64) clear, so trial loops reuse one process per
+//    thread. A one-vertex round under k = 1 is one step of the walk loop
+//    (walk()), which skips the bitset round.
+//  * Draws are made in ascending vertex order, so a result is a pure
+//    function of (graph, options, starts, RNG state); tests/ holds golden
+//    digests of it.
 //  * Fractional branching asks a geometric-skipping Bernoulli helper, so
 //    the rho-draw costs one uniform per extra push, not one per vertex.
 //
@@ -26,6 +33,7 @@
 // hitting time Hit_C(v), Theorem 4).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -38,11 +46,6 @@
 #include "rand/rng.hpp"
 
 namespace cobra {
-
-/// Frontier representation policy. kAuto switches between representations
-/// by frontier size; the forced modes exist so tests can assert that the
-/// two paths are result-identical.
-enum class FrontierMode { kAuto, kSparse, kDense };
 
 struct CobraOptions {
   Branching branching = Branching::fixed(2);
@@ -59,7 +62,6 @@ struct CobraOptions {
   /// Requires a weighted graph. weighted = false leaves the uniform draw
   /// path — and its RNG stream — untouched.
   bool weighted = false;
-  FrontierMode frontier_mode = FrontierMode::kAuto;
 };
 
 class CobraProcess final : public Process {
@@ -74,9 +76,8 @@ class CobraProcess final : public Process {
   CobraProcess(const Graph& g, std::span<const Vertex> starts,
                CobraOptions options = {});
 
-  /// Rewinds to round 0 with C_0 = {start} / `starts`. O(|starts|): the
-  /// per-vertex arrays are invalidated by bumping the epoch stamp, not by
-  /// refilling them. Throws std::invalid_argument (before mutating
+  /// Rewinds to round 0 with C_0 = {start} / `starts`: clears the bitsets
+  /// (O(n/64) words). Throws std::invalid_argument (before mutating
   /// anything) on an empty, out-of-range, or degree-0 start set.
   /// (Process::reset(Rng, ...) layers trial-RNG capture and curve
   /// recording on top of these.)
@@ -113,22 +114,21 @@ class CobraProcess final : public Process {
 
   std::size_t frontier_size() const noexcept { return frontier_size_; }
 
-  /// Current active set C_t in ascending vertex order. After a dense round
-  /// the list is materialized on demand (one O(n) scan, cached into a
-  /// mutable member) — so despite the const signature, concurrent calls on
-  /// a shared process are not safe. Processes are per-thread workspaces;
-  /// don't share one across threads.
+  /// Current active set C_t in ascending vertex order, listed from the
+  /// bitset on the first call after a round and cached in a mutable
+  /// member — so despite the const signature, concurrent calls on a shared
+  /// process are not safe. Processes are per-thread workspaces; don't
+  /// share one across threads.
   std::span<const Vertex> frontier() const;
 
   bool has_visited(Vertex v) const {
-    return static_cast<Stamp>(visit_[v] >> 32) >= base_;
+    return ((visited_[v / 64] >> (v % 64)) & 1) != 0;
   }
 
   /// Round of v's first visit; kRoundNever if unvisited. The start set has
   /// round 0.
   Round first_visit_round(Vertex v) const {
-    return has_visited(v) ? static_cast<Stamp>(visit_[v] >> 32) - base_
-                          : kRoundNever;
+    return has_visited(v) ? first_visit_[v] : kRoundNever;
   }
 
   /// Materialized per-vertex first-visit rounds (kRoundNever if unvisited).
@@ -195,56 +195,65 @@ class CobraProcess final : public Process {
             graph_->regularity(),       graph_->offsets_are_wide()};
   }
 
-  /// The rest of the trial as a simple random walk, for a one-vertex
-  /// frontier under fixed k = 1 with no curve recorded: the position,
-  /// round, visit count and RNG live in locals, with the same draws,
-  /// visit_ stamps and accounting totals as step() would produce.
-  void walk(Rng& rng);
+  /// A vertex set over [0, n): bit v of words[v / 64], and bit i of
+  /// summary[i / 64] set once words[i] goes from zero to non-zero. A
+  /// word's summary bit is cleared only with the word itself (when a scan
+  /// drains the set), so the summary flags exactly the non-zero words.
+  /// Summary words [lo, hi) hold every set summary bit, so the scan of a
+  /// sparse set (a k = 1 walker) skips the zero summary words around it.
+  struct VertexSet {
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint64_t> summary;
+    std::size_t lo = SIZE_MAX;
+    std::size_t hi = 0;
+
+    void insert(Vertex v) noexcept {
+      std::uint64_t& word = words[v / 64];
+      if (word == 0) {
+        const std::size_t j = v / 4096;
+        summary[j] |= std::uint64_t{1} << (v / 64 % 64);
+        lo = std::min(lo, j);
+        hi = std::max(hi, j + 1);
+      }
+      word |= std::uint64_t{1} << (v % 64);
+    }
+  };
+
+  /// Rounds of a one-vertex frontier under fixed k = 1, a simple random
+  /// walk: at least one, then until covered or round `round_limit`. The
+  /// position, round, visit count and RNG live in locals. step() runs one
+  /// round of it; run_unobserved() the rest of the trial.
+  void walk(Rng& rng, std::size_t round_limit);
 
   /// Fault-aware round (core/faults.hpp). Tokens are conserved, never
   /// corrupted: a down frontier vertex keeps its token in place for the
   /// round (so a start vertex that is down at round 0 simply waits — see
   /// README "Fault model"), and a vertex whose every push was lost
-  /// retains its token instead of going extinct. Always uses the sparse
-  /// frontier representation; transmissions are counted per actual send.
+  /// retains its token instead of going extinct. Transmissions are
+  /// counted per actual send.
   void step_faulty(Rng& rng);
 
-  /// Per-vertex stamps are *global* round numbers: round r of the current
-  /// trial is stamp base_ + r, and every reset advances base_ past all
-  /// stamps the previous trial could have written. Stale stamps therefore
-  /// compare < base_ and reset() is O(1) over the O(n) arrays; the stamps
-  /// stay 32-bit, which keeps the draw loop's random accesses dense. When
-  /// base_ approaches wrap-around (every ~2^32 total rounds) the arrays
-  /// are re-zeroed once.
-  using Stamp = std::uint32_t;
-  Stamp stamp(Round r) const noexcept { return base_ + r; }
-
-  void seed_frontier(std::span<const Vertex> starts);
+  /// Ends a round whose draws filled next_: merges it into the visited
+  /// set, makes it C_t and returns the number of first visits.
+  std::size_t finish_round();
 
   const Graph* graph_;
   CobraOptions options_;
   /// Alias tables for weighted draws (see GraphAliasTables::draw_index);
   /// null when options_.weighted is false. Fetched once at construction.
   const GraphAliasTables* alias_ = nullptr;
-  /// Sparse frontier list (ascending). Mutable: in dense rounds it is a
-  /// lazily materialized cache for frontier().
+  VertexSet current_;  ///< C_t
+  VertexSet next_;     ///< C_{t+1} while a round draws; empty otherwise
+  std::vector<std::uint64_t> visited_;  ///< bit v: v is in some C_s, s <= t
+  /// first_visit_[v] is v's first-visit round; meaningful only once v's
+  /// visited bit is set, so reset() never refills it.
+  std::vector<Round> first_visit_;
+  /// frontier()'s listing of current_, valid until the next round/reset.
   mutable std::vector<Vertex> frontier_;
-  mutable bool frontier_list_valid_ = true;
-  std::vector<Vertex> next_frontier_;
-  /// Per-vertex state packed into one 64-bit word so the draw loop's
-  /// random access touches a single cache line per draw: the low half is
-  /// the membership stamp (v entered a frontier at stamp(r) = low == base_
-  /// + r), the high half the first-visit stamp. The dense representation
-  /// is this array itself: C_t is materialized by one sequential scan for
-  /// low == stamp(t), done before any round-t draws overwrite the lows.
-  std::vector<std::uint64_t> visit_;
+  mutable bool frontier_listed_ = false;
   std::size_t frontier_size_ = 0;
-  /// Frontiers at least this large are re-materialized by a stamp scan
-  /// each round instead of being kept (and sorted) as a list.
-  std::size_t dense_threshold_;
   std::size_t visited_count_ = 0;
   Round round_ = 0;
-  Stamp base_ = 1;
   Accounting accounting_;
 };
 

@@ -25,6 +25,7 @@
 #include "scenario/sink.hpp"
 #include "scenario/spec.hpp"
 #include "util/build_info.hpp"
+#include "test_support.hpp"
 
 namespace cobra::dist {
 namespace {
@@ -225,7 +226,7 @@ TEST(DistLease, AbortWakesBlockedAcquire) {
 // ---- journal merge ----
 
 TEST(DistJournal, MergeDropsDuplicatesAndSurvivesReload) {
-  const std::string path = ::testing::TempDir() + "dist_merge.journal";
+  const std::string path = test_temp_dir() + "dist_merge.journal";
   std::remove(path.c_str());
   const CampaignPlan plan =
       scenario::plan_campaign(ScenarioSpec::parse_string(kDistSpec));
@@ -249,7 +250,7 @@ TEST(DistJournal, MergeDropsDuplicatesAndSurvivesReload) {
 }
 
 TEST(DistJournal, TornTrailingFrameIsDroppedAndRemergeable) {
-  const std::string path = ::testing::TempDir() + "dist_torn.journal";
+  const std::string path = test_temp_dir() + "dist_torn.journal";
   std::remove(path.c_str());
   const CampaignPlan plan =
       scenario::plan_campaign(ScenarioSpec::parse_string(kDistSpec));
@@ -308,7 +309,7 @@ ServeResult serve_in_thread(Coordinator& coordinator) {
 TEST(DistEndToEnd, TwoWorkersProduceByteIdenticalSinks) {
   const ScenarioSpec spec = ScenarioSpec::parse_string(kDistSpec);
   const CampaignPlan plan = scenario::plan_campaign(spec);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const std::string ref_stem = dir + "dist_e2e_ref";
   const std::string run_stem = dir + "dist_e2e_run";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
@@ -528,7 +529,7 @@ TEST(DistHandshake, WorkerRefusesFingerprintMismatch) {
 TEST(DistEndToEnd, ResumedCampaignServesOnlyPendingJobs) {
   const ScenarioSpec spec = ScenarioSpec::parse_string(kDistSpec);
   const CampaignPlan plan = scenario::plan_campaign(spec);
-  const std::string stem = ::testing::TempDir() + "dist_resume";
+  const std::string stem = test_temp_dir() + "dist_resume";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }
@@ -559,7 +560,7 @@ TEST(DistEndToEnd, ResumedCampaignServesOnlyPendingJobs) {
 
   // The stitched-together campaign still renders byte-identically to an
   // uninterrupted local one.
-  const std::string ref_stem = ::testing::TempDir() + "dist_resume_ref";
+  const std::string ref_stem = test_temp_dir() + "dist_resume_ref";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((ref_stem + ext).c_str());
   }

@@ -2,9 +2,9 @@
 //
 // Engine regression tests for the high-throughput hot path: results must
 // be a pure function of (base_seed, trial index) regardless of thread
-// count, workspace reuse, or frontier representation; the 32-bit Lemire
-// fast path must be uniform; geometric-skipping Bernoulli must match the
-// per-trial law.
+// count or workspace reuse, and whole trials must match recorded digests;
+// the 32-bit Lemire fast path must be uniform; geometric-skipping
+// Bernoulli must match the per-trial law.
 #include <algorithm>
 #include <set>
 #include <vector>
@@ -17,6 +17,7 @@
 #include "rand/sampling.hpp"
 #include "sim/trial_runner.hpp"
 #include "stats/chi_square.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
@@ -98,71 +99,51 @@ TEST(EngineDeterminism, BipsResetMatchesFreshConstruction) {
   }
 }
 
-TEST(EngineDeterminism, CobraSparseAndDenseFrontiersAgree) {
+// The frontier, round count and first-visit rounds of whole stepped
+// trials, hashed and compared with digests recorded from the earlier
+// stamp-array/sorted-list frontier (each of its representations gave
+// these digests).
+TEST(EngineDeterminism, CobraSteppedTrialsMatchRecordedDigest) {
   const Graph g = test_expander(2048);
-  CobraOptions sparse;
-  sparse.frontier_mode = FrontierMode::kSparse;
-  CobraOptions dense;
-  dense.frontier_mode = FrontierMode::kDense;
-  CobraOptions hybrid;  // kAuto
+  Fnv1a hash;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    Rng rng_sparse(seed);
-    Rng rng_dense(seed);
-    Rng rng_auto(seed);
-    CobraProcess p_sparse(g, 0, sparse);
-    CobraProcess p_dense(g, 0, dense);
-    CobraProcess p_auto(g, 0, hybrid);
-    while (!p_sparse.covered()) {
-      p_sparse.step(rng_sparse);
-      p_dense.step(rng_dense);
-      p_auto.step(rng_auto);
-      // Same frontier content, whatever the representation.
-      const auto fs = p_sparse.frontier();
-      const auto fd = p_dense.frontier();
-      const auto fa = p_auto.frontier();
-      ASSERT_TRUE(std::equal(fs.begin(), fs.end(), fd.begin(), fd.end()));
-      ASSERT_TRUE(std::equal(fs.begin(), fs.end(), fa.begin(), fa.end()));
-    }
-    EXPECT_TRUE(p_dense.covered());
-    EXPECT_TRUE(p_auto.covered());
-    EXPECT_EQ(p_sparse.round(), p_dense.round());
-    // Identical visit sets and first-visit rounds.
-    EXPECT_EQ(p_sparse.first_visit_rounds(), p_dense.first_visit_rounds());
-    EXPECT_EQ(p_sparse.first_visit_rounds(), p_auto.first_visit_rounds());
-  }
-}
-
-TEST(EngineDeterminism, CobraSparseDenseAgreeUnderFractionalBranching) {
-  const Graph g = test_expander(1024);
-  CobraOptions sparse;
-  sparse.branching = Branching::fractional(0.35);
-  sparse.frontier_mode = FrontierMode::kSparse;
-  CobraOptions dense = sparse;
-  dense.frontier_mode = FrontierMode::kDense;
-  Rng rng_sparse(5);
-  Rng rng_dense(5);
-  const auto rs = run_cobra_cover(g, 3, sparse, rng_sparse);
-  const auto rd = run_cobra_cover(g, 3, dense, rng_dense);
-  EXPECT_EQ(rs, rd);
-}
-
-TEST(CobraFrontier, ListIsAscendingInBothRepresentations) {
-  const Graph g = test_expander(1024);
-  for (const FrontierMode mode :
-       {FrontierMode::kAuto, FrontierMode::kSparse, FrontierMode::kDense}) {
-    CobraOptions options;
-    options.frontier_mode = mode;
-    Rng rng(7);
-    CobraProcess process(g, 0, options);
-    for (int t = 0; t < 12; ++t) {
+    Rng rng(seed);
+    CobraProcess process(g, 0, CobraOptions{});
+    while (!process.covered()) {
       process.step(rng);
-      const auto frontier = process.frontier();
-      EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
-      EXPECT_EQ(frontier.size(), process.frontier_size());
-      const std::set<Vertex> unique(frontier.begin(), frontier.end());
-      EXPECT_EQ(unique.size(), frontier.size());
+      hash.add_range(process.frontier());
     }
+    hash.add(process.round());
+    hash.add_range(process.first_visit_rounds());
   }
+  EXPECT_EQ(hash.value(), 0x45381710f51cfc54ULL);
+}
+
+TEST(EngineDeterminism, CobraFractionalBranchingMatchesRecordedDigest) {
+  const Graph g = test_expander(1024);
+  CobraOptions options;
+  options.branching = Branching::fractional(0.35);
+  Rng rng(5);
+  Fnv1a hash;
+  hash.add(run_cobra_cover(g, 3, options, rng));
+  EXPECT_EQ(hash.value(), 0x9bbc29a91f6bd66aULL);
+}
+
+TEST(CobraFrontier, ListIsAscendingAndMatchesRecordedDigest) {
+  const Graph g = test_expander(1024);
+  Rng rng(7);
+  CobraProcess process(g, 0, CobraOptions{});
+  Fnv1a hash;
+  for (int t = 0; t < 12; ++t) {
+    process.step(rng);
+    const auto frontier = process.frontier();
+    EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
+    EXPECT_EQ(frontier.size(), process.frontier_size());
+    const std::set<Vertex> unique(frontier.begin(), frontier.end());
+    EXPECT_EQ(unique.size(), frontier.size());
+    hash.add_range(frontier);
+  }
+  EXPECT_EQ(hash.value(), 0xfb6288ed4604d98eULL);
 }
 
 TEST(CobraReset, ReplaysIdenticallyAndRewindsState) {

@@ -30,6 +30,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
 #include "scenario/spec.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
@@ -239,7 +240,7 @@ TEST(FaultsCampaign, DeterministicAcrossThreadCounts) {
 TEST(FaultsCampaign, KilledAndResumedSinksAreByteIdentical) {
   const auto spec = scenario::ScenarioSpec::parse_string(kFaultySpec);
   const auto plan = scenario::plan_campaign(spec);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const std::string uninterrupted = dir + "faults_uninterrupted";
   const std::string interrupted = dir + "faults_interrupted";
   for (const auto& stem : {uninterrupted, interrupted}) {

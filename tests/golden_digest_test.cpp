@@ -1,0 +1,285 @@
+// SPDX-License-Identifier: MIT
+//
+// Golden digests: FNV-1a hashes (tests/test_support.hpp) of results from
+// fixed (graph, process, options, seed) cells, compared with constants
+// recorded from a known-good build. Any change to a result bit — a draw
+// reordered, a first-visit round off by one, a transmission miscounted —
+// changes a digest. A change meant to alter a result stream re-records
+// the constants it alters and says so.
+//
+//  (a) every registry process, per-trial SpreadResults, faults off and
+//      under drop / duty-cycle / churn;
+//  (b) COBRA cells: the frontier after each of the first rounds, the
+//      per-round sizes, first_visit_rounds() and the result, stepped and
+//      through run(), over word-boundary sizes, multi-vertex starts,
+//      k = 1 / 2 / 3, fractional branching, alias draws, irregular graphs
+//      and round budgets below the cover time.
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/cobra.hpp"
+#include "core/faults.hpp"
+#include "core/process.hpp"
+#include "core/process_factory.hpp"
+#include "graph/generators.hpp"
+#include "graph/weights.hpp"
+#include "test_support.hpp"
+
+namespace cobra {
+namespace {
+
+std::string hex(std::uint64_t x) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof buffer, "0x%016llxULL",
+                static_cast<unsigned long long>(x));
+  return buffer;
+}
+
+#define EXPECT_DIGEST(actual, expected, what) \
+  EXPECT_EQ(hex(actual), hex(expected)) << (what)
+
+// ---- (a) the registry ----
+
+enum class Faults { kOff, kDrop, kDuty, kChurn };
+
+FaultOptions fault_options(Faults kind) {
+  FaultOptions options;
+  switch (kind) {
+    case Faults::kOff:
+      break;
+    case Faults::kDrop:
+      options.drop = 0.3;
+      break;
+    case Faults::kDuty:
+      options.duty_period = 4;
+      options.duty_awake = 3;
+      break;
+    case Faults::kChurn:
+      options.churn = 0.1;
+      options.churn_period = 8;
+      options.churn_down = 1;
+      break;
+  }
+  return options;
+}
+
+/// Four trials on each of an expander and a torus, one workspace per
+/// graph reused across trials.
+std::uint64_t registry_digest(const std::string& name, Faults kind) {
+  Rng graph_rng(2024);
+  const std::vector<Graph> graphs = {
+      gen::connected_random_regular(96, 6, graph_rng), gen::torus({6, 7})};
+  Fnv1a hash;
+  for (const Graph& g : graphs) {
+    const FaultModel model(g.num_vertices(), fault_options(kind));
+    const auto process = make_process(g, name, {{"max_rounds", "2048"}});
+    if (kind != Faults::kOff) process->set_fault_model(&model);
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const auto start = static_cast<Vertex>(seed * 29 % g.num_vertices());
+      hash.add(process->run(Rng(seed + 100), start));
+    }
+  }
+  return hash.value();
+}
+
+struct RegistryGolden {
+  const char* name;
+  std::uint64_t off, drop, duty, churn;
+};
+
+TEST(GoldenDigest, EveryRegistryProcessWithAndWithoutFaults) {
+  const RegistryGolden golden[] = {
+      {"bips",
+       0xde59609bdc4ba477ULL, 0x87dc063f850a8322ULL,
+       0x0ee2eaa93f0ca9cbULL, 0x39aa99a099287564ULL},
+      {"branching-walk",
+       0xbae68d740a5c552cULL, 0x4ff40ce573c9c0fdULL,
+       0x6d7c0873e9fcb07aULL, 0xee6ae17575f0edd3ULL},
+      {"cobra",
+       0x734e9c73d64acb29ULL, 0xe363bcc578c8ed65ULL,
+       0xd28717ff9eb2a863ULL, 0x695e280296233d8fULL},
+      {"flood",
+       0x20aa7ec2b4d10f81ULL, 0xf0079ffdfa9b0848ULL,
+       0x7e3f49e369c3e6f3ULL, 0x37f1ae778d73cb98ULL},
+      {"pull",
+       0xff76f6873a51d1b4ULL, 0x68c7b6ffff99d87bULL,
+       0x950063bbe211f549ULL, 0xde0c4672cb80b70fULL},
+      {"push",
+       0xbad22ae1bfdf2e53ULL, 0xc7997030dc7d2733ULL,
+       0x43dd721628e78f21ULL, 0xeb8217e7090f66cbULL},
+      {"push-pull",
+       0xf9aec98bd71cb792ULL, 0x8fda96d1534e8d67ULL,
+       0xea1afa3c45db9138ULL, 0x59874c836037acb3ULL},
+      {"sis",
+       0xb21ea2458671af46ULL, 0x05d1b20d101942c3ULL,
+       0xa01c530ae186dc99ULL, 0xa7c6db27ae46dce6ULL},
+      {"walk",
+       0x29bcb95ca2ef6406ULL, 0x4d48afc5454438d2ULL,
+       0x698c70b038c26a83ULL, 0xf4dd3f372d311fa1ULL},
+  };
+  ASSERT_EQ(std::size(golden), process_names().size());
+  for (const RegistryGolden& g : golden) {
+    EXPECT_DIGEST(registry_digest(g.name, Faults::kOff), g.off, g.name);
+    EXPECT_DIGEST(registry_digest(g.name, Faults::kDrop), g.drop, g.name);
+    EXPECT_DIGEST(registry_digest(g.name, Faults::kDuty), g.duty, g.name);
+    EXPECT_DIGEST(registry_digest(g.name, Faults::kChurn), g.churn, g.name);
+  }
+}
+
+// ---- (b) COBRA cells ----
+
+/// Frontiers are hashed whole for this many rounds, sizes for every round.
+constexpr std::size_t kFrontierRounds = 24;
+
+void add_final_state(Fnv1a& hash, const CobraProcess& process) {
+  hash.add(process.result());
+  hash.add_range(process.first_visit_rounds());
+  hash.add_range(process.frontier());
+}
+
+/// Three seeds through one reused workspace: stepped (frontiers, sizes and
+/// the final state), then through run() (the final state).
+std::uint64_t cobra_digest(const Graph& g, const std::vector<Vertex>& starts,
+                           const CobraOptions& options,
+                           const FaultOptions* faults = nullptr) {
+  Fnv1a hash;
+  CobraProcess process(g, starts, options);
+  const FaultModel model(g.num_vertices(),
+                         faults != nullptr ? *faults : FaultOptions{});
+  if (faults != nullptr) process.set_fault_model(&model);
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    process.reset(Rng(seed), starts);
+    while (!process.done()) {
+      process.step();
+      if (process.round() <= kFrontierRounds) {
+        hash.add_range(process.frontier());
+      }
+      hash.add(process.frontier_size());
+      hash.add(process.visited_count());
+    }
+    add_final_state(hash, process);
+    process.run(Rng(seed), starts);
+    add_final_state(hash, process);
+  }
+  return hash.value();
+}
+
+Graph expander(std::size_t n) {
+  Rng rng(n);
+  return gen::connected_random_regular(n, 8, rng);
+}
+
+CobraOptions fixed_k(unsigned k, bool curves = true) {
+  CobraOptions options;
+  options.branching = Branching::fixed(k);
+  options.record_curves = curves;
+  return options;
+}
+
+TEST(GoldenDigest, CobraWordBoundarySizesStartingAtTheLastVertex) {
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {63, 0x6d733ed505a19abcULL},
+      {64, 0xcfaf4368f0d13888ULL},
+      {65, 0x7976c803be18d2a2ULL},
+      {4095, 0xb47faa0024eecbc9ULL},
+      {4096, 0x3aeeaa973ba396efULL},
+      {4097, 0xc06d7153a4ac937cULL},
+  };
+  for (const auto& [n, expected] : golden) {
+    const Graph g = expander(n);
+    const std::vector<Vertex> last = {static_cast<Vertex>(n - 1)};
+    EXPECT_DIGEST(cobra_digest(g, last, fixed_k(2)), expected,
+                  "n = " + std::to_string(n));
+  }
+}
+
+TEST(GoldenDigest, CobraTwoVertexStart) {
+  const Graph g = expander(4096);
+  EXPECT_DIGEST(cobra_digest(g, {4000, 5}, fixed_k(2)), 0x803a2b95615f908bULL,
+                "k = 2");
+  EXPECT_DIGEST(cobra_digest(g, {4000, 5}, fixed_k(1, false)),
+                0x0758ec53f52cbb56ULL, "k = 1");
+}
+
+TEST(GoldenDigest, CobraK1SteppedWithCurvesAndThroughTheWalkLoop) {
+  const Graph g = expander(1024);
+  EXPECT_DIGEST(cobra_digest(g, {7}, fixed_k(1, true)), 0xb86e6dabb77ef86fULL,
+                "curves");
+  EXPECT_DIGEST(cobra_digest(g, {7}, fixed_k(1, false)), 0x185e23810b9180dfULL,
+                "walk loop");
+}
+
+TEST(GoldenDigest, CobraK3AndFractionalBranching) {
+  const Graph g = expander(4096);
+  EXPECT_DIGEST(cobra_digest(g, {1}, fixed_k(3)), 0x7067d3e9289ba361ULL,
+                "k = 3");
+  CobraOptions fractional;
+  fractional.branching = Branching::fractional(0.35);
+  EXPECT_DIGEST(cobra_digest(g, {1}, fractional), 0x44c8bfb45e6cff37ULL,
+                "rho = 0.35");
+}
+
+TEST(GoldenDigest, CobraAliasDrawsOnAnExpWeightedTorus) {
+  Graph g = gen::torus({40, 40});
+  gen::generate_weights(g, gen::WeightKind::kExp, 17);
+  const std::pair<unsigned, std::uint64_t> golden[] = {
+      {1, 0x46141cc5b0b4561bULL}, {2, 0x19b6fe3be2c44508ULL}};
+  for (const auto& [k, expected] : golden) {
+    CobraOptions weighted = fixed_k(k, false);
+    weighted.weighted = true;
+    EXPECT_DIGEST(cobra_digest(g, {0}, weighted), expected,
+                  "k = " + std::to_string(k));
+  }
+}
+
+TEST(GoldenDigest, CobraLollipopAndCycle) {
+  const Graph lollipop = gen::lollipop(40, 60);
+  const Graph cycle = gen::cycle(600);
+  EXPECT_DIGEST(cobra_digest(lollipop, {0}, fixed_k(1)), 0x0ac8eeedf5f23373ULL,
+                "lollipop k=1");
+  EXPECT_DIGEST(cobra_digest(lollipop, {0}, fixed_k(2)), 0x8af470f4d45f70c8ULL,
+                "lollipop k=2");
+  EXPECT_DIGEST(cobra_digest(lollipop, {99}, fixed_k(3)), 0x8b965ea5048b863dULL,
+                "lollipop k=3");
+  EXPECT_DIGEST(cobra_digest(cycle, {0}, fixed_k(1)), 0xb6b9f09712526528ULL,
+                "cycle k=1");
+  EXPECT_DIGEST(cobra_digest(cycle, {0}, fixed_k(2)), 0xc6aedc913a168c5aULL,
+                "cycle k=2");
+}
+
+TEST(GoldenDigest, CobraRoundBudgetBelowTheCoverTime) {
+  const Graph g = expander(4096);
+  CobraOptions k2 = fixed_k(2);
+  k2.max_rounds = 5;
+  EXPECT_DIGEST(cobra_digest(g, {3}, k2), 0x1cb1b2b90a6f5a2fULL, "k = 2");
+  CobraOptions k1 = fixed_k(1, false);
+  k1.max_rounds = 200;
+  EXPECT_DIGEST(cobra_digest(g, {3}, k1), 0x5be6072088304ff1ULL, "k = 1");
+}
+
+TEST(GoldenDigest, CobraUnderFaults) {
+  Graph torus = gen::torus({40, 40});
+  gen::generate_weights(torus, gen::WeightKind::kExp, 17);
+  const Graph g = expander(1024);
+  FaultOptions drop;
+  drop.drop = 0.3;
+  const FaultOptions duty = fault_options(Faults::kDuty);
+  const FaultOptions churn = fault_options(Faults::kChurn);
+  CobraOptions weighted = fixed_k(2);
+  weighted.weighted = true;
+  EXPECT_DIGEST(cobra_digest(torus, {0}, fixed_k(2), &drop),
+                0x0bab9a34d7ad0eecULL, "torus");
+  EXPECT_DIGEST(cobra_digest(torus, {0}, weighted, &drop),
+                0x651ed1d6124b1316ULL, "weighted");
+  EXPECT_DIGEST(cobra_digest(g, {9}, fixed_k(2), &duty), 0xe7bd37d6693d3a8dULL,
+                "duty");
+  EXPECT_DIGEST(cobra_digest(g, {9, 1023}, fixed_k(1), &churn),
+                0x134b333b91ca2c40ULL, "churn");
+}
+
+}  // namespace
+}  // namespace cobra

@@ -26,6 +26,7 @@
 #include "scenario/spec.hpp"
 #include "scenario/telemetry.hpp"
 #include "sim/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
@@ -265,7 +266,7 @@ TEST(Trace, FileIsValidJsonWithNestedSpansPerThread) {
   });
   EXPECT_EQ(trace.event_count(), 10u);
 
-  const std::string path = ::testing::TempDir() + "obs_trace.json";
+  const std::string path = test_temp_dir() + "obs_trace.json";
   std::remove(path.c_str());
   ASSERT_TRUE(trace.write(path));
   const std::string text = read_file(path);
@@ -325,7 +326,7 @@ TEST(Progress, StatusJsonIsValidAndCarriesSchema) {
 }
 
 TEST(Progress, WriteStatusJsonLeavesNoTempFile) {
-  const std::string path = ::testing::TempDir() + "obs_status.json";
+  const std::string path = test_temp_dir() + "obs_status.json";
   std::remove(path.c_str());
   ASSERT_TRUE(obs::write_status_json(path, sample_snapshot()));
   EXPECT_TRUE(json_valid(read_file(path)));
@@ -346,7 +347,7 @@ TEST(Progress, PeakRssIsNonZeroOnLinux) {
 }
 
 TEST(Progress, ReporterWritesFinalStatusOnStop) {
-  const std::string path = ::testing::TempDir() + "obs_reporter.json";
+  const std::string path = test_temp_dir() + "obs_reporter.json";
   std::remove(path.c_str());
   std::ostringstream heartbeat;
   obs::ProgressReporter::Options options;
@@ -385,7 +386,7 @@ TEST(Rounds, RecorderSamplesEveryKthRoundPlusTerminal) {
 }
 
 TEST(Rounds, SinkWritesSelfIdentifyingJsonLines) {
-  const std::string path = ::testing::TempDir() + "obs_rounds.jsonl";
+  const std::string path = test_temp_dir() + "obs_rounds.jsonl";
   std::remove(path.c_str());
   {
     obs::RoundsSink sink(path);
@@ -484,7 +485,7 @@ TEST(CampaignTelemetry, UnknownTelemetryKeyRejected) {
 
 TEST(CampaignTelemetry, ResultSinksByteIdenticalAcrossTelemetryAndThreads) {
   using namespace scenario;
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const auto clean = [&dir](const std::string& stem) {
     for (const char* ext : {".jsonl", ".csv", ".journal", ".status.json",
                             ".trace.json", ".rounds.jsonl"}) {

@@ -24,6 +24,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
 #include "scenario/spec.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
@@ -35,7 +36,7 @@ using scenario::ScenarioSpec;
 using scenario::SpecError;
 
 std::string temp_cgr(const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "ooc_scn_" + tag + ".cgr";
+  const std::string path = test_temp_dir() + "ooc_scn_" + tag + ".cgr";
   Rng rng(99);
   write_cgr(gen::erdos_renyi(400, 0.02, rng), path);
   return path;
@@ -61,7 +62,7 @@ TEST(ScenarioMmap, BuildGraphHonorsTheMmapParam) {
   const std::string path = temp_cgr("build");
   const auto plan_for = [&](int mmap) {
     return scenario::plan_campaign(ScenarioSpec::parse_string(
-        file_spec(path, mmap, "mm", ::testing::TempDir() + "ooc_mm")));
+        file_spec(path, mmap, "mm", test_temp_dir() + "ooc_mm")));
   };
   const CampaignPlan owned_plan = plan_for(0);
   const CampaignPlan mapped_plan = plan_for(1);
@@ -84,7 +85,7 @@ TEST(ScenarioMmap, BuildGraphHonorsTheMmapParam) {
 }
 
 TEST(ScenarioMmap, MmapRequiresACgrFile) {
-  const std::string path = ::testing::TempDir() + "ooc_scn_edges.el";
+  const std::string path = test_temp_dir() + "ooc_scn_edges.el";
   {
     std::ofstream out(path, std::ios::trunc);
     out << "n 4\n0 1\n1 2\n2 3\n";
@@ -123,8 +124,8 @@ TEST(ScenarioMmap, EstimateIsExactForCgrAndSplitsMappedFromResident) {
 
 TEST(ScenarioMmap, CampaignSinksMatchOwnedRunModuloTheMmapParam) {
   const std::string path = temp_cgr("sinks");
-  const std::string owned_stem = ::testing::TempDir() + "ooc_scn_owned";
-  const std::string mapped_stem = ::testing::TempDir() + "ooc_scn_mapped";
+  const std::string owned_stem = test_temp_dir() + "ooc_scn_owned";
+  const std::string mapped_stem = test_temp_dir() + "ooc_scn_mapped";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((owned_stem + ext).c_str());
     std::remove((mapped_stem + ext).c_str());
@@ -151,7 +152,7 @@ TEST(ScenarioMmap, CampaignSinksMatchOwnedRunModuloTheMmapParam) {
 TEST(GraphCacheUsage, SplitsResidentFromMappedAndEmptiesOnRelease) {
   const std::string path = temp_cgr("cache");
   const CampaignPlan plan = scenario::plan_campaign(ScenarioSpec::parse_string(
-      file_spec(path, 1, "cache", ::testing::TempDir() + "ooc_cache")));
+      file_spec(path, 1, "cache", test_temp_dir() + "ooc_cache")));
   GraphCache cache([&plan](const JobSpec& job) {
     return scenario::build_campaign_graph(plan, job);
   });
@@ -182,7 +183,7 @@ dist::Frame must_recv(dist::Socket& socket) {
 TEST(DistGraphShipping, CoordinatorServesPlanGraphsInBoundedRanges) {
   const std::string path = temp_cgr("ship");
   const std::string expected = read_file(path);
-  const std::string stem = ::testing::TempDir() + "ooc_ship";
+  const std::string stem = test_temp_dir() + "ooc_ship";
   // A journal left by a previous run would resume as already-complete and
   // serve() would return before the client gets a word in.
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
@@ -268,7 +269,7 @@ TEST(DistGraphShipping, CoordinatorServesPlanGraphsInBoundedRanges) {
 
 TEST(DistGraphShipping, RequestsOutsideThePlanAreRefused) {
   const std::string path = temp_cgr("allowlist");
-  const std::string stem = ::testing::TempDir() + "ooc_allow";
+  const std::string stem = test_temp_dir() + "ooc_allow";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }

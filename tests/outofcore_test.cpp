@@ -22,12 +22,13 @@
 #include "graph/stream.hpp"
 #include "graph/weights.hpp"
 #include "rand/rng.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return test_temp_dir() + name;
 }
 
 std::vector<char> read_bytes(const std::string& path) {

@@ -25,6 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include "test_support.hpp"
+
 extern char** environ;
 
 namespace {
@@ -125,7 +127,7 @@ record_curve = 0
 )";
 
 TEST(ScenarioRunner, SigkillThenResumeMatchesSerialRun) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = cobra::test_temp_dir();
   const std::string spec = dir + "runner_kill.scenario";
   const std::string stem = dir + "runner_kill";
   const std::string serial = dir + "runner_kill_serial";
@@ -197,7 +199,7 @@ k = 2
 )";
 
 TEST(ScenarioRunner, JournalWriteFailureExitsOneNamingTheJournal) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = cobra::test_temp_dir();
   const std::string spec = dir + "runner_full.scenario";
   const std::string stem = dir + "runner_full";
   write_file(spec, kSmallJobsSpec);

@@ -28,6 +28,7 @@
 #include "scenario/sink.hpp"
 #include "scenario/spec.hpp"
 #include "sim/sweep.hpp"
+#include "test_support.hpp"
 
 namespace cobra::scenario {
 namespace {
@@ -310,7 +311,7 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 TEST(Campaign, KilledAndResumedOutputIsByteIdentical) {
   const auto spec = ScenarioSpec::parse_string(kTinySpec);
   const auto plan = plan_campaign(spec);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const std::string uninterrupted = dir + "scenario_uninterrupted";
   const std::string interrupted = dir + "scenario_interrupted";
   for (const auto& stem : {uninterrupted, interrupted}) {
@@ -365,7 +366,7 @@ TEST(Campaign, BatchedEngineIsFingerprintNeutralAndByteIdentical) {
   // written at any batch resume under any other.
   EXPECT_EQ(scalar_plan.fingerprint, batched_plan.fingerprint);
 
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const std::string scalar_stem = dir + "scenario_engine_scalar";
   const std::string batched_stem = dir + "scenario_engine_batched";
   for (const auto& stem : {scalar_stem, batched_stem}) {
@@ -466,7 +467,7 @@ k = 2
 /// Runs `spec_text` at `threads` into a fresh stem; returns JSONL + CSV.
 std::string run_sinks(const std::string& spec_text, std::size_t threads,
                       const std::string& tag) {
-  const std::string stem = ::testing::TempDir() + "scenario_runner_" + tag;
+  const std::string stem = test_temp_dir() + "scenario_runner_" + tag;
   for (const char* ext : {".journal", ".jsonl", ".csv", ".rounds.jsonl"}) {
     std::remove((stem + ext).c_str());
   }
@@ -594,7 +595,7 @@ TEST(JobRunner, FailingTrialFailsTheRunSeriallyAndPooled) {
 TEST(JobRunner, MaxJobsCountsStayExactWhenHelping) {
   const CampaignPlan plan =
       plan_campaign(ScenarioSpec::parse_string(kHelpSpec));
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_temp_dir();
   const std::string stem = dir + "scenario_runner_max_jobs";
   for (const char* ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
@@ -621,7 +622,7 @@ TEST(JobRunner, MaxJobsCountsStayExactWhenHelping) {
 }
 
 TEST(Campaign, ResumeRejectsMismatchedSpec) {
-  const std::string stem = ::testing::TempDir() + "scenario_mismatch";
+  const std::string stem = test_temp_dir() + "scenario_mismatch";
   for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }
@@ -646,7 +647,7 @@ TEST(Campaign, ResumeRejectsMismatchedSpec) {
 }
 
 TEST(Campaign, FileGraphHookRunsOnExternalEdgeList) {
-  const std::string path = ::testing::TempDir() + "scenario_graph.el";
+  const std::string path = test_temp_dir() + "scenario_graph.el";
   // Headerless, comment-laden, weighted, both-direction edge list — the
   // tolerant parse the `graph.file` hook enables (n inferred as 4).
   write_file(path,
@@ -668,7 +669,7 @@ TEST(Campaign, FileGraphHookRunsOnExternalEdgeList) {
 
 TEST(Campaign, CobraToleratesIsolatedVerticesButBipsRefuses) {
   // External edge list whose header declares an extra, isolated vertex.
-  const std::string path = ::testing::TempDir() + "scenario_isolated.el";
+  const std::string path = test_temp_dir() + "scenario_isolated.el";
   write_file(path, "n 5\n0 1\n1 2\n2 3\n3 0\n");
   const std::string base =
       "[campaign]\ntrials = 2\n[graph]\nfamily = file\nfile = " + path +
@@ -688,7 +689,7 @@ TEST(Campaign, CobraToleratesIsolatedVerticesButBipsRefuses) {
 TEST(Journal, PartialFrameFromKillIsDroppedOnResume) {
   const auto spec = ScenarioSpec::parse_string(kTinySpec);
   const auto plan = plan_campaign(spec);
-  const std::string stem = ::testing::TempDir() + "scenario_partial";
+  const std::string stem = test_temp_dir() + "scenario_partial";
   for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }
@@ -709,7 +710,7 @@ TEST(Journal, PartialFrameFromKillIsDroppedOnResume) {
   EXPECT_EQ(result.executed, 2u);  // the garbled job was re-run
 
   // Byte-identical to an uninterrupted campaign despite the corruption.
-  const std::string clean = ::testing::TempDir() + "scenario_partial_clean";
+  const std::string clean = test_temp_dir() + "scenario_partial_clean";
   for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((clean + ext).c_str());
   }
@@ -735,7 +736,7 @@ TEST(SpecRender, RoundTripIsIdentityAndKeepsOverrides) {
 TEST(Journal, MergeDropsSecondFrameForSameJob) {
   const auto spec = ScenarioSpec::parse_string(kTinySpec);
   const auto plan = plan_campaign(spec);
-  const std::string path = ::testing::TempDir() + "scenario_merge.journal";
+  const std::string path = test_temp_dir() + "scenario_merge.journal";
   std::remove(path.c_str());
   JobResult result;
   result.trials = plan.trials;
@@ -760,7 +761,7 @@ TEST(Journal, OlderFormatVersionIsRefusedOnResume) {
   // graphs for the same (spec, seed), under the same plan fingerprint.
   // Resuming it would mix the two samplers' results in one sink.
   const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
-  const std::string stem = ::testing::TempDir() + "scenario_v1";
+  const std::string stem = test_temp_dir() + "scenario_v1";
   for (const auto& ext : {".journal", ".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
   }
@@ -786,7 +787,7 @@ TEST(Journal, FramesAreInTheFileWhenAppendReturns) {
   // Group commit defers only the fsync: a kill -9 right after append()
   // returns must find the frame in the file.
   const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
-  const std::string path = ::testing::TempDir() + "scenario_flushed.journal";
+  const std::string path = test_temp_dir() + "scenario_flushed.journal";
   std::remove(path.c_str());
   JobResult result;
   result.trials = plan.trials;
@@ -816,7 +817,7 @@ TEST(CampaignSinks, FullDiskThrowsInsteadOfTruncating) {
   const auto plan = plan_campaign(ScenarioSpec::parse_string(kTinySpec));
   const CampaignResult result = run_campaign(plan, CampaignOptions{});
   ASSERT_TRUE(result.complete);
-  const std::string stem = ::testing::TempDir() + "scenario_full_disk";
+  const std::string stem = test_temp_dir() + "scenario_full_disk";
   for (const char* ext : {".jsonl", ".csv"}) {
     std::remove((stem + ext).c_str());
     ASSERT_EQ(::symlink("/dev/full", (stem + ext).c_str()), 0) << ext;

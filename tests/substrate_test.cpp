@@ -27,6 +27,7 @@
 #include "rand/rng.hpp"
 #include "rand/sampling.hpp"
 #include "stats/chi_square.hpp"
+#include "test_support.hpp"
 
 namespace cobra {
 namespace {
@@ -81,7 +82,7 @@ struct ThreadGuard {
 };
 
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return test_temp_dir() + name;
 }
 
 /// Exactly uniform random r-regular graph: Fisher-Yates configuration-model

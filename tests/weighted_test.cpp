@@ -30,6 +30,7 @@
 #include "rand/rng.hpp"
 #include "scenario/registry.hpp"
 #include "stats/chi_square.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -141,7 +142,7 @@ TEST(EdgeListWeights, WriteReadRoundTripPreservesWeights) {
 class CgrWeightsTest : public ::testing::Test {
  protected:
   std::string path(const char* name) {
-    return ::testing::TempDir() + "weighted_cgr_" + name + ".cgr";
+    return test_temp_dir() + "weighted_cgr_" + name + ".cgr";
   }
 };
 
@@ -639,7 +640,7 @@ TEST(WeightedScenario, UniversalKeysAndMemoryEstimate) {
 }
 
 TEST(WeightedScenario, WeightFileAssertsLoadedWeights) {
-  const std::string file = ::testing::TempDir() + "weighted_scenario.el";
+  const std::string file = test_temp_dir() + "weighted_scenario.el";
   {
     std::ofstream out(file);
     out << "n 3\n0 1 0.5\n1 2 2\n";
