@@ -13,34 +13,36 @@
 // Engine notes: a vertex whose neighbourhood is uniformly infected (or
 // uniformly healthy) has a forced next state — no sample can change it —
 // so skipping its draws is distribution-preserving, exactly like the early
-// exit on a hit. The engine runs in one of two modes:
-//   * list mode — per-vertex infected-neighbour counts are maintained
-//     incrementally from state flips, and a sorted active list holds
-//     exactly the undecided (or flip-due) vertices. Early rounds
-//     (infection localized near the sources) and late rounds (a handful
-//     of undecided stragglers) cost O(boundary), not O(n).
-//   * scan mode — one plain pass over all n vertices with zero
-//     bookkeeping; used while the undecided boundary is a large fraction
-//     of n, where maintaining counts and lists costs more than it saves.
-// Transitions have hysteresis: list -> scan is free (the counts are
-// dropped); scan -> list rebuilds the counts in one O(m) sweep, is taken
-// only when the epidemic is nearly saturated and quiet, and is rationed
-// per trial so degenerate instances (e.g. complete graphs, where every
-// vertex stays undecided until the last) cannot thrash. Both modes visit
-// vertices in ascending order and every transition is a deterministic
-// function of the state, so results remain a pure function of
-// (seed, trial). reset() re-zeroes a few byte/word arrays (one memset
-// each, a few % of a trial) so trial loops reuse one process per thread
-// instead of reallocating.
+// exit on a hit. A_t, A_{t+1} and the source set are bitsets, and the
+// engine runs in one of two modes:
+//   * scan mode — every non-source vertex draws, in ascending order, into
+//     a 64-vertex word of A_{t+1} built in a register; two popcounts per
+//     word count A_{t+1} and the vertices that changed. Used while the
+//     undecided boundary is a large fraction of n.
+//   * list mode — a candidate set (core/vertex_set.hpp) holds every vertex
+//     that is undecided or due to flip to a forced state. A round tests
+//     the candidates' neighbour bits in ascending order, draws for exactly
+//     the undecided ones and flips A_t in place; the next candidates are
+//     the undecided ones plus the flipped vertices' non-source neighbours.
+//     Early and late rounds cost O(boundary), not O(n).
+// Transitions have hysteresis: list -> scan once the candidates reach n/8;
+// scan -> list only when the epidemic is nearly saturated and quiet, by a
+// rebuild from the healthy side, rationed per trial so degenerate
+// instances (e.g. complete graphs, where every vertex stays undecided
+// until the last) cannot thrash. Both modes visit vertices in ascending
+// order and every transition is a deterministic function of the state, so
+// results remain a pure function of (seed, trial); tests/ holds golden
+// digests of them. reset() is an O(n/64) clear, so trial loops reuse one
+// process per thread.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/process.hpp"
 #include "core/process_common.hpp"
+#include "core/vertex_set.hpp"
 #include "graph/graph.hpp"
 #include "rand/rng.hpp"
 
@@ -97,17 +99,17 @@ class BipsProcess final : public Process {
     return fully_infected() || round_ >= options_.max_rounds;
   }
   std::size_t reached_count() const override { return infected_count_; }
-  /// Working set = vertices the engine evaluates next round (active list
-  /// in list mode, every non-source vertex in scan mode).
-  std::size_t active_count() const override { return active_estimate_; }
+  /// Working set = vertices the engine evaluates next round (the
+  /// candidates in list mode, every non-source vertex in scan mode).
+  std::size_t active_count() const override { return active_; }
   bool completed() const override { return fully_infected(); }
   std::uint64_t total_transmissions() const override { return probes_total_; }
   std::uint64_t peak_vertex_round_transmissions() const override {
     return probes_peak_vertex_;
   }
   std::size_t round_limit() const override { return options_.max_rounds; }
-  bool is_infected(Vertex v) const { return infected_[v] != 0; }
-  bool is_source(Vertex v) const { return is_source_[v] != 0; }
+  bool is_infected(Vertex v) const { return test_bit(infected_.data(), v); }
+  bool is_source(Vertex v) const { return test_bit(source_.data(), v); }
 
   /// The full persistent source set, ascending and deduplicated.
   std::span<const Vertex> sources() const noexcept { return sources_; }
@@ -116,9 +118,8 @@ class BipsProcess final : public Process {
   /// sources(); this accessor exists for the common single-source case.
   Vertex source() const noexcept { return sources_.front(); }
 
-  /// Number of vertices the engine will evaluate next round: the active
-  /// list in list mode, every non-source vertex in scan mode.
-  std::size_t active_size() const noexcept { return active_estimate_; }
+  /// Same as active_count().
+  std::size_t active_size() const noexcept { return active_; }
 
   /// Neighbour probes actually drawn since the last reset. A vertex stops
   /// probing at its first infected hit, and in list mode vertices the
@@ -154,40 +155,33 @@ class BipsProcess final : public Process {
   /// probes behave normally. The forced-outcome/early-exit machinery is
   /// bypassed (its skips assume lossless probes).
   void step_faulty(Rng& rng);
-  /// True if u's next state is random, or forced to differ from its
-  /// current state — exactly the vertices that need processing. Valid only
-  /// while the neighbour counts are maintained (list mode).
-  bool needs_processing(Vertex u) const noexcept;
-  void rebuild_counts_and_list();
+  /// Draws A_{t+1} into next_ and swaps it in: sources stay infected and
+  /// every other vertex u takes next_state(u, u in A_t), in ascending
+  /// order. Returns how many vertices changed state.
+  template <typename F>
+  std::size_t scan_into_next(F&& next_state);
+  /// A list-mode round over cand_, which it leaves holding the next
+  /// round's candidates.
+  void list_round(Rng& rng);
+  /// Fills the empty cand_ with A_t's candidates; returns their number.
+  std::size_t rebuild_candidates();
+  /// Adds v's non-source neighbours to cand_; returns how many were new.
+  std::size_t add_neighbors(Vertex v);
 
   const Graph* graph_;
   BipsOptions options_;
-  /// Alias tables for weighted probes (see GraphAliasTables::draw_index);
-  /// null when unweighted.
-  const GraphAliasTables* alias_ = nullptr;
+  const GraphAliasTables* alias_ = nullptr;  ///< null unless weighted
   std::vector<Vertex> sources_;
-  std::vector<char> is_source_;
-  /// Current round's infected bitmap (1 byte per vertex: the draw loop's
-  /// random reads want density, not packing). Scan mode writes the next
-  /// round into next_infected_ and swaps — exactly the baseline layout;
-  /// list mode edits infected_ in place from its flip list.
-  std::vector<char> infected_;
-  std::vector<char> next_infected_;
-  /// Infected-neighbour count per vertex; maintained from flips in list
-  /// mode, stale in scan mode until the next rebuild.
-  std::vector<std::uint32_t> inf_nbrs_;
-  /// Active list (ascending), its per-round membership markers, and the
-  /// scratch vectors of the flip/recruit phases.
-  std::vector<Vertex> cand_;
-  std::vector<Vertex> next_cand_;
-  /// Allocation-free merge scratch for the recruit phase.
-  std::vector<Vertex> merge_buf_;
-  std::vector<std::uint32_t> cand_mark_;
+  std::vector<std::uint64_t> source_;    ///< bit v: v is a source
+  std::vector<std::uint64_t> infected_;  ///< A_t
+  std::vector<std::uint64_t> next_;      ///< A_{t+1} while a scan round draws
+  /// List mode: the vertices the next round evaluates. Empty in scan mode.
+  VertexSet cand_;
+  /// The vertices a round flips, applied to A_t after all have drawn.
   std::vector<Vertex> flips_;
-  std::vector<Vertex> newly_;
   bool scan_mode_ = false;
   int rebuilds_left_ = 0;
-  std::size_t active_estimate_ = 0;
+  std::size_t active_ = 0;
   std::size_t infected_count_ = 0;
   Round round_ = 0;
   std::uint64_t probes_total_ = 0;

@@ -10,42 +10,6 @@
 
 namespace cobra {
 
-namespace {
-
-/// The one ascending scan of a CobraProcess::VertexSet: calls f(i, word)
-/// for every non-zero word i in ascending order. kDrain empties the set on
-/// the way, zeroing each word and summary word once it has been read.
-template <bool kDrain, typename Set, typename F>
-void scan_words(Set& set, F&& f) {
-  for (std::size_t j = set.lo; j < set.hi; ++j) {
-    std::uint64_t flags = set.summary[j];
-    if (flags == 0) continue;
-    if constexpr (kDrain) set.summary[j] = 0;
-    for (; flags != 0; flags &= flags - 1) {
-      const std::size_t i = j * 64 + std::countr_zero(flags);
-      const std::uint64_t word = set.words[i];
-      if constexpr (kDrain) set.words[i] = 0;
-      f(i, word);
-    }
-  }
-  if constexpr (kDrain) {
-    set.lo = SIZE_MAX;
-    set.hi = 0;
-  }
-}
-
-/// scan_words, calling f(v) for every member v in ascending order.
-template <bool kDrain, typename Set, typename F>
-void scan(Set& set, F&& f) {
-  scan_words<kDrain>(set, [&](std::size_t i, std::uint64_t word) {
-    for (; word != 0; word &= word - 1) {
-      f(static_cast<Vertex>(i * 64 + std::countr_zero(word)));
-    }
-  });
-}
-
-}  // namespace
-
 CobraProcess::CobraProcess(const Graph& g, Vertex start, CobraOptions options)
     : CobraProcess(g, std::span<const Vertex>(&start, 1), std::move(options)) {}
 
@@ -72,12 +36,9 @@ CobraProcess::CobraProcess(const Graph& g, std::span<const Vertex> starts,
     // trial loop.
     alias_ = &g.alias_tables();
   }
-  const std::size_t words = (n + 63) / 64;
-  for (VertexSet* set : {&current_, &next_}) {
-    set->words.assign(words, 0);
-    set->summary.assign((words + 63) / 64, 0);
-  }
-  visited_.assign(words, 0);
+  current_.assign(n);
+  next_.assign(n);
+  visited_.assign((n + 63) / 64, 0);
   first_visit_.resize(n);
   reset(starts);
 }
@@ -100,7 +61,7 @@ void CobraProcess::reset(std::span<const Vertex> starts) {
           "vertex cannot choose a neighbour)");
     }
   }
-  scan_words<true>(current_, [](std::size_t, std::uint64_t) {});  // empty C_t
+  clear(current_);
   std::fill(visited_.begin(), visited_.end(), std::uint64_t{0});
   visited_count_ = 0;
   for (const Vertex v : starts) {
@@ -142,7 +103,7 @@ std::size_t CobraProcess::step(Rng& rng) {
     walk(rng, round_ + 1);
     return visited_count_ - visited;
   }
-  const Draws draw = draws();
+  const Draws draw = draws_of(*graph_, alias_);
   VertexSet& next = next_;
   const auto push = [&](Vertex v, unsigned pushes) {
     std::uint32_t degree = 0;
@@ -214,7 +175,7 @@ void CobraProcess::walk(Rng& rng, std::size_t round_limit) {
   const std::size_t n = graph_->num_vertices();
   std::uint64_t* const seen = visited_.data();
   Round* const first_visit = first_visit_.data();
-  const Draws draw = draws();
+  const Draws draw = draws_of(*graph_, alias_);
   do {
     std::uint32_t degree = 0;
     std::size_t begin = 0;
@@ -242,7 +203,7 @@ void CobraProcess::step_faulty(Rng& rng) {
   const Branching& branching = options_.branching;
   const bool fractional = branching.is_fractional();
   BernoulliSkipper extra(fractional ? branching.rho : 0.0);
-  const Draws draw = draws();
+  const Draws draw = draws_of(*graph_, alias_);
   scan<true>(current_, [&](Vertex v) {
     if (!fs.can_send(v)) {
       // Down: the token is frozen in place — no sends, no accounting.

@@ -33,7 +33,6 @@
 // hitting time Hit_C(v), Theorem 4).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,6 +41,7 @@
 #include "core/accounting.hpp"
 #include "core/process.hpp"
 #include "core/process_common.hpp"
+#include "core/vertex_set.hpp"
 #include "graph/graph.hpp"
 #include "rand/rng.hpp"
 
@@ -121,9 +121,7 @@ class CobraProcess final : public Process {
   /// share one across threads.
   std::span<const Vertex> frontier() const;
 
-  bool has_visited(Vertex v) const {
-    return ((visited_[v / 64] >> (v % 64)) & 1) != 0;
-  }
+  bool has_visited(Vertex v) const { return test_bit(visited_.data(), v); }
 
   /// Round of v's first visit; kRoundNever if unvisited. The start set has
   /// round 0.
@@ -153,72 +151,6 @@ class CobraProcess final : public Process {
   void run_unobserved(Rng& rng) override;
 
  private:
-  /// The arrays a round's draws read, copied out of the graph once per
-  /// step() or walk(), so the draw loops keep them in registers instead
-  /// of reloading them through graph_ after every store.
-  struct Draws {
-    const std::uint32_t* off32 = nullptr;
-    const std::uint64_t* off64 = nullptr;
-    const Vertex* adjacency = nullptr;
-    const GraphAliasTables* alias = nullptr;  ///< null unless weighted
-    int regular = -1;   ///< common degree, -1 if irregular
-    bool wide = false;  ///< 64-bit offsets (2m >= 2^32)
-
-    /// v's neighbour block: returns its first entry and sets `degree` and
-    /// `begin`, the block's CSR slot. A regular graph skips the offsets
-    /// (begin = v * r).
-    const Vertex* neighbor_block(Vertex v, std::uint32_t& degree,
-                                 std::size_t& begin) const noexcept {
-      if (regular >= 0) {
-        degree = static_cast<std::uint32_t>(regular);
-        begin = static_cast<std::size_t>(v) * degree;
-        return adjacency + begin;
-      }
-      begin = wide ? off64[v] : off32[v];
-      const std::size_t end = wide ? off64[v + 1] : off32[v + 1];
-      degree = static_cast<std::uint32_t>(end - begin);
-      return adjacency + begin;
-    }
-
-    /// Index of the chosen neighbour within the block at CSR slot `begin`.
-    /// Uniform: one Lemire draw (the historical stream). Weighted: the one
-    /// shared alias-draw sequence (GraphAliasTables::draw_index).
-    std::uint32_t draw_index(std::size_t begin, std::uint32_t degree,
-                             Rng& rng) const noexcept {
-      return alias != nullptr ? alias->draw_index(begin, degree, rng)
-                              : rng.next_below32(degree);
-    }
-  };
-  Draws draws() const noexcept {
-    return {graph_->offsets32().data(), graph_->offsets64().data(),
-            graph_->adjacency().data(), alias_,
-            graph_->regularity(),       graph_->offsets_are_wide()};
-  }
-
-  /// A vertex set over [0, n): bit v of words[v / 64], and bit i of
-  /// summary[i / 64] set once words[i] goes from zero to non-zero. A
-  /// word's summary bit is cleared only with the word itself (when a scan
-  /// drains the set), so the summary flags exactly the non-zero words.
-  /// Summary words [lo, hi) hold every set summary bit, so the scan of a
-  /// sparse set (a k = 1 walker) skips the zero summary words around it.
-  struct VertexSet {
-    std::vector<std::uint64_t> words;
-    std::vector<std::uint64_t> summary;
-    std::size_t lo = SIZE_MAX;
-    std::size_t hi = 0;
-
-    void insert(Vertex v) noexcept {
-      std::uint64_t& word = words[v / 64];
-      if (word == 0) {
-        const std::size_t j = v / 4096;
-        summary[j] |= std::uint64_t{1} << (v / 64 % 64);
-        lo = std::min(lo, j);
-        hi = std::max(hi, j + 1);
-      }
-      word |= std::uint64_t{1} << (v % 64);
-    }
-  };
-
   /// Rounds of a one-vertex frontier under fixed k = 1, a simple random
   /// walk: at least one, then until covered or round `round_limit`. The
   /// position, round, visit count and RNG live in locals. step() runs one

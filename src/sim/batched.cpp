@@ -23,7 +23,6 @@
 namespace cobra {
 namespace {
 
-using batched_detail::CsrView;
 using batched_detail::lane_mask;
 using batched_detail::LaneDraw;
 using batched_detail::LaneResults;
@@ -52,7 +51,7 @@ class BatchedPush final : public BatchedEngine {
       : BatchedEngine(batch),
         graph_(&g),
         options_(options),
-        csr_(g),
+        csr_(draws_of(g, nullptr)),
         draw_(g, options.weighted),
         rngs_(batch),
         lanes_(batch, options.record_curve, options.max_rounds),
@@ -104,7 +103,7 @@ class BatchedPush final : public BatchedEngine {
         if (word == 0) continue;
         std::uint32_t degree;
         std::size_t begin;
-        const Vertex* nbrs = csr_.block(v, degree, begin);
+        const Vertex* nbrs = csr_.neighbor_block(v, degree, begin);
         if (!draw_.weighted && word == running) {
           // Every running lane sends from v: one bulk draw services the
           // block (non-running lanes advance harmlessly — their streams
@@ -183,7 +182,7 @@ class BatchedPush final : public BatchedEngine {
 
   const Graph* graph_;
   PushOptions options_;
-  CsrView csr_;
+  Draws csr_;
   LaneDraw draw_;
   LaneRngs rngs_;
   LaneResults lanes_;
@@ -205,7 +204,7 @@ class BatchedPull final : public BatchedEngine {
       : BatchedEngine(batch),
         graph_(&g),
         options_(options),
-        csr_(g),
+        csr_(draws_of(g, nullptr)),
         draw_(g, options.weighted),
         rngs_(batch),
         lanes_(batch, options.record_curve, options.max_rounds),
@@ -248,7 +247,7 @@ class BatchedPull final : public BatchedEngine {
         if (need == 0) continue;
         std::uint32_t degree;
         std::size_t begin;
-        const Vertex* nbrs = csr_.block(v, degree, begin);
+        const Vertex* nbrs = csr_.neighbor_block(v, degree, begin);
         if (degree == 0) continue;  // isolated: nothing to pull from
         if (!draw_.weighted && need == running) {
           rngs_.fill_below32(degree, draw_buf);
@@ -303,7 +302,7 @@ class BatchedPull final : public BatchedEngine {
  private:
   const Graph* graph_;
   PullOptions options_;
-  CsrView csr_;
+  Draws csr_;
   LaneDraw draw_;
   LaneRngs rngs_;
   LaneResults lanes_;
@@ -324,7 +323,7 @@ class BatchedPushPull final : public BatchedEngine {
       : BatchedEngine(batch),
         graph_(&g),
         options_(options),
-        csr_(g),
+        csr_(draws_of(g, nullptr)),
         draw_(g, options.weighted),
         rngs_(batch),
         lanes_(batch, options.record_curve, options.max_rounds),
@@ -371,7 +370,7 @@ class BatchedPushPull final : public BatchedEngine {
       for (Vertex v = 0; v < n; ++v) {
         std::uint32_t degree;
         std::size_t begin;
-        const Vertex* nbrs = csr_.block(v, degree, begin);
+        const Vertex* nbrs = csr_.neighbor_block(v, degree, begin);
         if (degree == 0) continue;  // isolated: no one to contact
         if (!draw_.weighted) {
           rngs_.fill_below32(degree, draw_buf);
@@ -434,7 +433,7 @@ class BatchedPushPull final : public BatchedEngine {
 
   const Graph* graph_;
   PushPullOptions options_;
-  CsrView csr_;
+  Draws csr_;
   LaneDraw draw_;
   LaneRngs rngs_;
   LaneResults lanes_;

@@ -35,7 +35,7 @@ class BatchedBips final : public BatchedEngine {
       : BatchedEngine(batch),
         graph_(&g),
         options_(std::move(options)),
-        csr_(g),
+        csr_(draws_of(g, nullptr)),
         draw_(g, options_.weighted),
         rngs_(batch),
         lanes_(batch, options_.record_curve, options_.max_rounds),
@@ -218,7 +218,7 @@ class BatchedBips final : public BatchedEngine {
       if (todo != 0) {
         std::uint32_t degree;
         std::size_t begin;
-        const Vertex* nbrs = csr_.block(u, degree, begin);
+        const Vertex* nbrs = csr_.neighbor_block(u, degree, begin);
         const bool bulk = !draw_.weighted && todo == running;
         if (bulk) rngs_.fill_below32(degree, draw_buf);
         for (std::uint64_t bits = todo; bits != 0; bits &= bits - 1) {
@@ -300,7 +300,7 @@ class BatchedBips final : public BatchedEngine {
       }
       std::uint32_t degree;
       std::size_t begin;
-      const Vertex* nbrs = csr_.block(u, degree, begin);
+      const Vertex* nbrs = csr_.neighbor_block(u, degree, begin);
       if (c == degree) {
         if (!cur) flips_.push_back(u);  // forced infection
         continue;
@@ -345,7 +345,7 @@ class BatchedBips final : public BatchedEngine {
 
   const Graph* graph_;
   BipsOptions options_;
-  CsrView csr_;
+  Draws csr_;
   LaneDraw draw_;
   LaneRngs rngs_;
   LaneResults lanes_;

@@ -32,7 +32,7 @@ class BatchedCobra final : public BatchedEngine {
       : BatchedEngine(batch),
         graph_(&g),
         options_(std::move(options)),
-        csr_(g),
+        csr_(draws_of(g, nullptr)),
         draw_(g, options_.weighted),
         rngs_(batch),
         lanes_(batch, options_.record_curves, options_.max_rounds),
@@ -106,7 +106,7 @@ class BatchedCobra final : public BatchedEngine {
       const auto step_vertex = [&](Vertex v, std::uint64_t word) {
         std::uint32_t degree;
         std::size_t begin;
-        const Vertex* nbrs = csr_.block(v, degree, begin);
+        const Vertex* nbrs = csr_.neighbor_block(v, degree, begin);
         if (!fractional && !draw_.weighted && word == running) {
           // Every running lane pushes k times from v: k bulk draws, one
           // per push index, keep each lane's p = 0..k-1 order intact
@@ -198,7 +198,7 @@ class BatchedCobra final : public BatchedEngine {
 
   const Graph* graph_;
   CobraOptions options_;
-  CsrView csr_;
+  Draws csr_;
   LaneDraw draw_;
   LaneRngs rngs_;
   LaneResults lanes_;

@@ -22,36 +22,6 @@
 
 namespace cobra::batched_detail {
 
-/// Raw-pointer CSR view — the same width-adaptive access pattern the
-/// scalar engines use (see the matching lambda in cobra.cpp).
-struct CsrView {
-  const std::uint32_t* off32;
-  const std::uint64_t* off64;
-  bool wide;
-  const Vertex* adjacency;
-  int regular;
-
-  explicit CsrView(const Graph& g)
-      : off32(g.offsets32().data()),
-        off64(g.offsets64().data()),
-        wide(g.offsets_are_wide()),
-        adjacency(g.adjacency().data()),
-        regular(g.regularity()) {}
-
-  const Vertex* block(Vertex v, std::uint32_t& degree,
-                      std::size_t& begin) const noexcept {
-    if (regular >= 0) {
-      degree = static_cast<std::uint32_t>(regular);
-      begin = static_cast<std::size_t>(v) * degree;
-      return adjacency + begin;
-    }
-    begin = wide ? off64[v] : off32[v];
-    const std::size_t end = wide ? off64[v + 1] : off32[v + 1];
-    degree = static_cast<std::uint32_t>(end - begin);
-    return adjacency + begin;
-  }
-};
-
 /// One lane of a LaneRngs presented with Rng's drawing surface, so shared
 /// helpers templated on the generator (BernoulliSkipper) run unchanged —
 /// and bit-identically — on a lane stream.

@@ -13,7 +13,11 @@
 //      per-round sizes, first_visit_rounds() and the result, stepped and
 //      through run(), over word-boundary sizes, multi-vertex starts,
 //      k = 1 / 2 / 3, fractional branching, alias draws, irregular graphs
-//      and round budgets below the cover time.
+//      and round budgets below the cover time;
+//  (c) BIPS cells: the infected set after each of the first rounds,
+//      infected_count() and active_count() every round and the result,
+//      stepped and through run(), over the same kinds of input plus a
+//      complete graph (whose every scan -> list rebuild stays wide).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bips.hpp"
 #include "core/cobra.hpp"
 #include "core/faults.hpp"
 #include "core/process.hpp"
@@ -279,6 +284,153 @@ TEST(GoldenDigest, CobraUnderFaults) {
                 "duty");
   EXPECT_DIGEST(cobra_digest(g, {9, 1023}, fixed_k(1), &churn),
                 0x134b333b91ca2c40ULL, "churn");
+}
+
+// ---- (c) BIPS cells ----
+
+std::vector<Vertex> infected_set(const BipsProcess& process) {
+  std::vector<Vertex> infected;
+  for (Vertex v = 0; v < process.graph().num_vertices(); ++v) {
+    if (process.is_infected(v)) infected.push_back(v);
+  }
+  return infected;
+}
+
+/// Three seeds through one reused workspace: stepped (infected sets,
+/// infected and active counts, the result), then through run().
+std::uint64_t bips_digest(const Graph& g, const std::vector<Vertex>& sources,
+                          const BipsOptions& options,
+                          const FaultOptions* faults = nullptr) {
+  Fnv1a hash;
+  BipsProcess process(g, sources, options);
+  const FaultModel model(g.num_vertices(),
+                         faults != nullptr ? *faults : FaultOptions{});
+  if (faults != nullptr) process.set_fault_model(&model);
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    process.reset(Rng(seed), sources);
+    while (!process.done()) {
+      process.step();
+      if (process.round() <= kFrontierRounds) {
+        hash.add_range(infected_set(process));
+      }
+      hash.add(process.infected_count());
+      hash.add(process.active_count());
+    }
+    hash.add(process.result());
+    hash.add_range(infected_set(process));
+    hash.add(process.run(Rng(seed), sources));
+  }
+  return hash.value();
+}
+
+BipsOptions bips_k(unsigned k, bool curve = true) {
+  BipsOptions options;
+  options.branching = Branching::fixed(k);
+  options.record_curve = curve;
+  return options;
+}
+
+TEST(GoldenDigest, BipsWordBoundarySizesWithTheLastVertexAsSource) {
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {63, 0x3e419b67dcefcfefULL},
+      {64, 0x94218e519d93578aULL},
+      {65, 0xc18558627c218a6cULL},
+      {4095, 0xc665885b4d0867efULL},
+      {4096, 0xcf026f3eba5b0275ULL},
+      {4097, 0xb964f889428114e0ULL},
+  };
+  for (const auto& [n, expected] : golden) {
+    const Graph g = expander(n);
+    const std::vector<Vertex> last = {static_cast<Vertex>(n - 1)};
+    EXPECT_DIGEST(bips_digest(g, last, bips_k(2)), expected,
+                  "n = " + std::to_string(n));
+  }
+}
+
+TEST(GoldenDigest, BipsSourceSets) {
+  const Graph g = expander(4096);
+  EXPECT_DIGEST(bips_digest(g, {4000, 5}, bips_k(2)), 0x9a6cde9a499ee68aULL,
+                "two sources");
+  EXPECT_DIGEST(bips_digest(g, {300, 7, 300}, bips_k(2, false)),
+                0x070e6a3a6bf3e1daULL, "duplicate");
+}
+
+TEST(GoldenDigest, BipsK3AndFractionalBranching) {
+  const Graph g = expander(4096);
+  EXPECT_DIGEST(bips_digest(g, {1}, bips_k(3)), 0xc78b2e0726216d5eULL,
+                "k = 3");
+  BipsOptions fractional;
+  fractional.branching = Branching::fractional(0.35);
+  EXPECT_DIGEST(bips_digest(g, {1}, fractional), 0x69c4eeedf7973c55ULL,
+                "rho = 0.35");
+}
+
+TEST(GoldenDigest, BipsK1OnASmallGraphAndUnderARoundBudget) {
+  EXPECT_DIGEST(bips_digest(expander(64), {3}, bips_k(1)),
+                0xe2597ab04574c852ULL, "n = 64");
+  BipsOptions budget = bips_k(1, false);
+  budget.max_rounds = 200;
+  EXPECT_DIGEST(bips_digest(expander(4096), {3}, budget),
+                0x6df8d0e781d0e1c5ULL, "n = 4096");
+}
+
+TEST(GoldenDigest, BipsAliasDrawsOnAnExpWeightedTorus) {
+  Graph g = gen::torus({40, 40});
+  gen::generate_weights(g, gen::WeightKind::kExp, 17);
+  const std::pair<unsigned, std::uint64_t> golden[] = {
+      {1, 0xa1a0a46b2f9b6cbcULL}, {2, 0x02ae54fb47e4ebb8ULL}};
+  for (const auto& [k, expected] : golden) {
+    BipsOptions weighted = bips_k(k, false);
+    weighted.weighted = true;
+    weighted.max_rounds = 1000;
+    EXPECT_DIGEST(bips_digest(g, {0}, weighted), expected,
+                  "k = " + std::to_string(k));
+  }
+}
+
+TEST(GoldenDigest, BipsLollipopCycleAndCompleteGraph) {
+  const Graph lollipop = gen::lollipop(40, 60);
+  EXPECT_DIGEST(bips_digest(lollipop, {0}, bips_k(2)), 0xfd6bc8e4a0cb3ea3ULL,
+                "lollipop from 0");
+  EXPECT_DIGEST(bips_digest(lollipop, {99}, bips_k(2)), 0x86b3032bc8a39bb3ULL,
+                "lollipop from 99");
+  // Seed 12 switches from scan to list mode four times: the rebuild ration.
+  EXPECT_DIGEST(bips_digest(lollipop, {99}, bips_k(1)), 0x1e71bae5e39e5f43ULL,
+                "lollipop k = 1");
+  EXPECT_DIGEST(bips_digest(gen::cycle(600), {0}, bips_k(2)),
+                0xd074a7faa4d5ab2fULL, "cycle");
+  EXPECT_DIGEST(bips_digest(gen::complete(256), {0}, bips_k(2)),
+                0x8124318eaf2a700fULL, "complete");
+}
+
+TEST(GoldenDigest, BipsRoundBudgetBelowTheInfectionTime) {
+  BipsOptions k2 = bips_k(2);
+  k2.max_rounds = 5;
+  EXPECT_DIGEST(bips_digest(expander(4096), {3}, k2), 0xd1e841ad2e111911ULL,
+                "k = 2");
+}
+
+TEST(GoldenDigest, BipsUnderFaults) {
+  Graph torus = gen::torus({40, 40});
+  gen::generate_weights(torus, gen::WeightKind::kExp, 17);
+  const Graph g = expander(1024);
+  FaultOptions drop;
+  drop.drop = 0.3;
+  const FaultOptions duty = fault_options(Faults::kDuty);
+  const FaultOptions churn = fault_options(Faults::kChurn);
+  // A round budget far above these infection times: a change that keeps
+  // BIPS from finishing under faults fails in seconds, not hours.
+  BipsOptions k2 = bips_k(2);
+  k2.max_rounds = 4096;
+  BipsOptions weighted = k2;
+  weighted.weighted = true;
+  EXPECT_DIGEST(bips_digest(torus, {0}, k2, &drop), 0x63c56abc89c94912ULL,
+                "torus");
+  EXPECT_DIGEST(bips_digest(torus, {0}, weighted, &drop), 0xf3e6eacee32c7828ULL,
+                "weighted");
+  EXPECT_DIGEST(bips_digest(g, {9}, k2, &duty), 0x352cfe4d3941d134ULL, "duty");
+  EXPECT_DIGEST(bips_digest(g, {9, 1023}, k2, &churn), 0xefd0f96f0bf3ed34ULL,
+                "churn");
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // SPDX-License-Identifier: MIT
 //
-// The paper's cover-time claims on connected random 8-regular graphs, at
-// fixed seeds (so the test is deterministic and cannot flake):
+// The paper's cover- and infection-time claims on connected random
+// 8-regular graphs, at fixed seeds (so the test is deterministic and cannot
+// flake):
 //  * Theorem 1's O(log n) expander cover: COBRA k = 2 mean rounds / ln n
 //    stays within 10% of perfbench's reference value (2.376, recorded in
 //    perfbench/reference.json) at every n;
+//  * Theorem 2's O(log n) expander infection time: BIPS k = 2 mean rounds
+//    / ln n stays within 10% of 2.22 (the mean over these sizes) at every n
+//    and does not grow with n beyond its standard error;
 //  * k = 1 is a simple random walk, whose cover time on random r-regular
 //    graphs is ~ (r-1)/(r-2) n ln n (Cooper & Frieze 2005; 7/6 at r = 8):
 //    cover / (n ln n) lies in [1.10, 1.40] and does not grow with n beyond
 //    its standard error.
-// Both catch a wrong result that golden digests re-recorded on purpose
+// They catch a wrong result that golden digests re-recorded on purpose
 // would let through.
 #include <cmath>
 #include <cstdint>
@@ -17,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bips.hpp"
 #include "core/cobra.hpp"
 #include "graph/generators.hpp"
 #include "stats/online.hpp"
@@ -29,16 +34,16 @@ constexpr std::size_t kTrialsPerGraph = 16;
 const std::vector<std::size_t> kSizes = {1u << 8, 1u << 10, 1u << 12,
                                          1u << 14};
 
-/// Cover rounds of kGraphs x kTrialsPerGraph COBRA trials at size n.
-OnlineStats cover_rounds(std::size_t n, unsigned k) {
-  CobraOptions options;
+/// Rounds of kGraphs x kTrialsPerGraph trials of a ProcessT at size n and
+/// branching k, all of which must complete.
+template <typename ProcessT, typename Options>
+OnlineStats trial_rounds(std::size_t n, unsigned k, Options options) {
   options.branching = Branching::fixed(k);
-  options.record_curves = false;
   OnlineStats rounds;
   for (std::size_t graph = 0; graph < kGraphs; ++graph) {
     Rng graph_rng(1000 * n + graph);
     const Graph g = gen::connected_random_regular(n, 8, graph_rng);
-    CobraProcess process(g, 0, options);
+    ProcessT process(g, 0, options);
     for (std::size_t trial = 0; trial < kTrialsPerGraph; ++trial) {
       const auto start = static_cast<Vertex>(trial * 131 % n);
       const SpreadResult result =
@@ -50,6 +55,34 @@ OnlineStats cover_rounds(std::size_t n, unsigned k) {
   return rounds;
 }
 
+OnlineStats cover_rounds(std::size_t n, unsigned k) {
+  CobraOptions options;
+  options.record_curves = false;
+  return trial_rounds<CobraProcess>(n, k, options);
+}
+
+/// Checks, for the mean rounds / scale(n) over kSizes, that it does not
+/// rise from one n to the next by more than the combined standard error.
+template <typename Scale, typename Rounds>
+void expect_no_rise(Scale scale, Rounds rounds_at) {
+  double previous = 0.0;
+  double previous_se = 0.0;
+  for (const std::size_t n : kSizes) {
+    const OnlineStats rounds = rounds_at(n);
+    const double ratio = rounds.mean() / scale(n);
+    const double se = rounds.stddev() /
+                      std::sqrt(static_cast<double>(rounds.count())) /
+                      scale(n);
+    if (previous > 0.0) {
+      EXPECT_LE(ratio - previous, std::hypot(se, previous_se))
+          << "n = " << n << ": rounds / scale grew from " << previous
+          << " to " << ratio;
+    }
+    previous = ratio;
+    previous_se = se;
+  }
+}
+
 TEST(PaperClaims, CobraK2CoverIsLogarithmicOnExpanders) {
   constexpr double kReference = 2.376;  // perfbench/reference.json
   for (const std::size_t n : kSizes) {
@@ -58,25 +91,30 @@ TEST(PaperClaims, CobraK2CoverIsLogarithmicOnExpanders) {
   }
 }
 
+TEST(PaperClaims, BipsK2InfectionIsLogarithmicOnExpanders) {
+  constexpr double kReference = 2.22;
+  BipsOptions options;
+  options.record_curve = false;
+  const auto log_n = [](std::size_t n) { return std::log(n); };
+  expect_no_rise(log_n, [&](std::size_t n) {
+    const OnlineStats rounds = trial_rounds<BipsProcess>(n, 2, options);
+    EXPECT_NEAR(rounds.mean() / log_n(n), kReference, 0.1 * kReference)
+        << "n = " << n;
+    return rounds;
+  });
+}
+
 TEST(PaperClaims, CobraK1CoverIsNLogNAndDoesNotGrowFaster) {
-  double previous = 0.0;
-  double previous_se = 0.0;
-  for (const std::size_t n : kSizes) {
+  const auto n_log_n = [](std::size_t n) {
+    return static_cast<double>(n) * std::log(n);
+  };
+  expect_no_rise(n_log_n, [&](std::size_t n) {
     const OnlineStats rounds = cover_rounds(n, 1);
-    const double scale = static_cast<double>(n) * std::log(n);
-    const double ratio = rounds.mean() / scale;
-    const double se = rounds.stddev() /
-                      std::sqrt(static_cast<double>(rounds.count())) / scale;
+    const double ratio = rounds.mean() / n_log_n(n);
     EXPECT_GE(ratio, 1.10) << "n = " << n;
     EXPECT_LE(ratio, 1.40) << "n = " << n;
-    if (previous > 0.0) {
-      EXPECT_LE(ratio - previous, std::hypot(se, previous_se))
-          << "n = " << n << ": cover / (n ln n) grew from " << previous
-          << " to " << ratio;
-    }
-    previous = ratio;
-    previous_se = se;
-  }
+    return rounds;
+  });
 }
 
 }  // namespace

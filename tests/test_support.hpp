@@ -13,6 +13,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,12 @@ class Fnv1a {
     }
   }
   void add_double(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  void add_bytes(std::string_view bytes) {
+    for (const char c : bytes) {
+      hash_ ^= static_cast<std::uint8_t>(c);
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
 
   /// Length first, then the elements.
   template <typename Range>
