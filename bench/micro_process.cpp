@@ -4,8 +4,10 @@
 // registry (plus COBRA at k = 1) is driven through the steppable Process
 // interface (reset / step / done) for a batch of trials on one expander
 // instance, measuring round throughput AND steady-state heap behaviour.
-// COBRA rows also get a Process::run leg, the call campaigns make, which
-// at k = 1 runs the walk loop; both legs must run the same rounds. Global
+// Every row also gets a stepped leg with a drop = 0.2 FaultModel attached
+// (the fault round of the same process). COBRA rows also get a
+// Process::run leg, the call campaigns make, which at k = 1 runs the walk
+// loop; both legs must run the same rounds. Global
 // operator new/delete are overridden with counting shims, so the bench
 // proves the workspace-reuse contract end to end: after the first
 // (warm-up) trial, every leg performs ZERO allocations. Emits
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/faults.hpp"
 #include "core/process_factory.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -98,10 +101,12 @@ struct BenchRow {
   std::string name;
   std::size_t trials = 0;
   Leg stepped;             ///< reset + step until done
+  Leg faulty;              ///< the stepped leg under drop = 0.2
   std::optional<Leg> run;  ///< Process::run; COBRA rows only
 
   bool allocation_free() const {
     return stepped.steady_allocations == 0 &&
+           faulty.steady_allocations == 0 &&
            (!run || run->steady_allocations == 0);
   }
   bool legs_agree() const {
@@ -249,10 +254,14 @@ bool bench_batched(const Graph& g, const std::string& name,
   return true;
 }
 
+/// `faults`, when given, is attached before the warm-up trial (the one
+/// allocation of the session workspace).
 Leg bench_leg(const Graph& g, const std::string& name,
               const ProcessParams& params, std::uint64_t seed,
-              std::size_t trials, bool stepped) {
+              std::size_t trials, bool stepped,
+              const FaultModel* faults = nullptr) {
   const auto process = make_process(g, name, params);
+  process->set_fault_model(faults);
   Leg leg;
   const std::size_t n = g.num_vertices();
   Stopwatch watch;
@@ -292,6 +301,19 @@ BenchRow bench_process(const Graph& g, const std::string& name,
   row.name = label;
   row.trials = trials;
   row.stepped = bench_leg(g, name, params, seed, trials, /*stepped=*/true);
+  // A fault round costs O(n) in FaultSession::begin_round, so the faulty
+  // leg caps trials at 1024 rounds: a walker's O(n log n)-round cover
+  // would cost O(n^2 log n) there.
+  ProcessParams faulty_params;
+  for (const auto& param : params) {
+    if (param.first != "max_rounds") faulty_params.push_back(param);
+  }
+  faulty_params.emplace_back("max_rounds", "1024");
+  FaultOptions drop;
+  drop.drop = 0.2;
+  const FaultModel faults(g.num_vertices(), drop);
+  row.faulty = bench_leg(g, name, faulty_params, seed, trials,
+                         /*stepped=*/true, &faults);
   if (with_run) {
     row.run = bench_leg(g, name, params, seed, trials, /*stepped=*/false);
   }
@@ -315,8 +337,9 @@ int main(int argc, char** argv) {
   const Graph g = gen::connected_random_regular(n, 8, graph_rng);
   std::printf("micro_process [scale=%s, graph=%s, n=%zu, trials=%zu]\n",
               scale.name().c_str(), g.name().c_str(), n, trials);
-  std::printf("%-16s %7s %12s %12s %14s %12s\n", "process", "trials",
-              "step rnd/s", "run rnd/s", "steady allocs", "warm allocs");
+  std::printf("%-16s %7s %12s %12s %12s %14s %12s\n", "process", "trials",
+              "step rnd/s", "faulty rnd/s", "run rnd/s", "steady allocs",
+              "warm allocs");
 
   // Per-process parameter tweaks keep every row seconds-cheap: the walk's
   // step budget covers n log n cover times, SIS gets a finite round cap.
@@ -332,10 +355,11 @@ int main(int argc, char** argv) {
         bench_process(g, name, label, params, seed, trials, with_run);
     const Leg none;
     const Leg& run = row.run ? *row.run : none;
-    const double legs = row.run ? 2 : 1;
+    const double legs = row.run ? 3 : 2;
     const double per_trial =
         row.trials > 1
             ? static_cast<double>(row.stepped.steady_allocations +
+                                  row.faulty.steady_allocations +
                                   run.steady_allocations) /
                   (legs * static_cast<double>(row.trials - 1))
             : 0;
@@ -345,11 +369,12 @@ int main(int argc, char** argv) {
     if (row.run) {
       std::snprintf(run_rate, sizeof run_rate, "%.0f", run.rounds_per_sec());
     }
-    std::printf("%-16s %7zu %12.0f %12s %11.1f/t %12llu%s%s\n",
+    std::printf("%-16s %7zu %12.0f %12.0f %12s %11.1f/t %12llu%s%s\n",
                 row.name.c_str(), row.trials, row.stepped.rounds_per_sec(),
-                run_rate, per_trial,
+                row.faulty.rounds_per_sec(), run_rate, per_trial,
                 static_cast<unsigned long long>(
-                    row.stepped.warmup_allocations + run.warmup_allocations),
+                    row.stepped.warmup_allocations +
+                    row.faulty.warmup_allocations + run.warmup_allocations),
                 row.allocation_free() ? "" : "  [ALLOCATES]",
                 row.legs_agree() ? "" : "  [LEGS DIFFER]");
     rows.push_back(row);
@@ -451,6 +476,17 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(row.stepped.steady_allocations),
         static_cast<unsigned long long>(row.stepped.total_rounds),
         row.stepped.steady_seconds, row.stepped.rounds_per_sec());
+    // "faulty" is the stepped leg with a drop = 0.2 FaultModel attached.
+    std::fprintf(out,
+                 ", \"faulty\": {\"completed\": %zu, "
+                 "\"warmup_allocations\": %llu, \"steady_allocations\": %llu, "
+                 "\"total_rounds\": %llu, \"steady_seconds\": %.6f, "
+                 "\"rounds_per_sec\": %.1f}",
+                 row.faulty.completed,
+                 static_cast<unsigned long long>(row.faulty.warmup_allocations),
+                 static_cast<unsigned long long>(row.faulty.steady_allocations),
+                 static_cast<unsigned long long>(row.faulty.total_rounds),
+                 row.faulty.steady_seconds, row.faulty.rounds_per_sec());
     if (row.run) {
       std::fprintf(out,
                    ", \"run\": {\"warmup_allocations\": %llu, "

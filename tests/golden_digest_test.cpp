@@ -17,7 +17,12 @@
 //  (c) BIPS cells: the infected set after each of the first rounds,
 //      infected_count() and active_count() every round and the result,
 //      stepped and through run(), over the same kinds of input plus a
-//      complete graph (whose every scan -> list rebuild stays wide).
+//      complete graph (whose every scan -> list rebuild stays wide);
+//  (d) observed cells: every RoundStats a RoundObserver sees and, under
+//      faults, the per-vertex tx/rx/listen counters after each trial —
+//      for every registry process, for weighted draws, for SIS with
+//      fractional branching, and for the branching walk's saturated
+//      even-share split and flooding on a cycle.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -32,6 +37,7 @@
 #include "core/process_factory.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "protocols/branching_walk.hpp"
 #include "test_support.hpp"
 
 namespace cobra {
@@ -431,6 +437,203 @@ TEST(GoldenDigest, BipsUnderFaults) {
   EXPECT_DIGEST(bips_digest(g, {9}, k2, &duty), 0x352cfe4d3941d134ULL, "duty");
   EXPECT_DIGEST(bips_digest(g, {9, 1023}, k2, &churn), 0xefd0f96f0bf3ed34ULL,
                 "churn");
+}
+
+// ---- (d) observed cells ----
+
+/// Hashes every RoundStats of a trial. With `splits` set, also counts
+/// the rounds in which the branching walk took its saturated even-share
+/// split: some vertex held >= 64 * degree particles at the round's start
+/// and could send.
+class StatsHash final : public RoundObserver {
+ public:
+  StatsHash(Fnv1a& hash, bool splits) : hash_(&hash), splits_(splits) {}
+
+  void on_reset(const Process& process) override { note_splits(process); }
+
+  void on_round(const Process& process, const RoundStats& s) override {
+    hash_->add(s.round);
+    hash_->add(s.active);
+    hash_->add(s.reached);
+    hash_->add(s.round_transmissions);
+    hash_->add(s.total_transmissions);
+    hash_->add(s.round_delivered);
+    hash_->add(s.total_delivered);
+    hash_->add(s.total_dropped);
+    hash_->add(s.total_blocked);
+    hash_->add_double(s.energy);
+    if (splits_) {
+      const FaultSession* faults = process.fault_session();
+      for (const Vertex v : eligible_) {
+        if (faults == nullptr || faults->can_send(v)) {
+          ++split_rounds_;
+          break;
+        }
+      }
+      note_splits(process);
+    }
+  }
+
+  std::size_t split_rounds() const noexcept { return split_rounds_; }
+
+ private:
+  void note_splits(const Process& process) {
+    if (!splits_) return;
+    const auto& walk = dynamic_cast<const BranchingWalkProcess&>(process);
+    const Graph& g = walk.graph();
+    eligible_.clear();
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (walk.particles_at(v) >= 64 * g.degree(v)) eligible_.push_back(v);
+    }
+  }
+
+  Fnv1a* hash_;
+  bool splits_;
+  std::vector<Vertex> eligible_;
+  std::size_t split_rounds_ = 0;
+};
+
+/// Four trials of `name` on each graph, one workspace per graph, with a
+/// StatsHash attached: every round's stats, each trial's result and,
+/// under faults, every vertex's tx/rx/listen counters after the trial.
+/// Adds the trials' even-share split rounds to *split_rounds if given.
+std::uint64_t observed_digest(const std::vector<Graph>& graphs,
+                              const std::string& name,
+                              const ProcessParams& params, Faults kind,
+                              std::size_t* split_rounds = nullptr) {
+  Fnv1a hash;
+  for (const Graph& g : graphs) {
+    const FaultModel model(g.num_vertices(), fault_options(kind));
+    const auto process = make_process(g, name, params);
+    if (kind != Faults::kOff) process->set_fault_model(&model);
+    StatsHash stats(hash, split_rounds != nullptr);
+    process->set_observer(&stats);
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const auto start = static_cast<Vertex>(seed * 29 % g.num_vertices());
+      hash.add(process->run(Rng(seed + 100), start));
+      if (const FaultSession* faults = process->fault_session()) {
+        for (Vertex v = 0; v < g.num_vertices(); ++v) {
+          hash.add(faults->tx(v));
+          hash.add(faults->rx(v));
+          hash.add(faults->listen(v));
+        }
+      }
+    }
+    if (split_rounds != nullptr) *split_rounds += stats.split_rounds();
+  }
+  return hash.value();
+}
+
+std::vector<Graph> registry_graphs() {
+  Rng graph_rng(2024);
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::connected_random_regular(96, 6, graph_rng));
+  graphs.push_back(gen::torus({6, 7}));
+  return graphs;
+}
+
+TEST(GoldenDigest, EveryRegistryProcessRoundByRoundAndPerVertex) {
+  const RegistryGolden golden[] = {
+      {"bips",
+       0x5ec71dbc6a562372ULL, 0xbd6958bff5ae003bULL,
+       0x2e4889262194d7a5ULL, 0x6d426b9ce0a799d5ULL},
+      {"branching-walk",
+       0x92d91ad7e92ac7e6ULL, 0xe5ff81c77d558f00ULL,
+       0xeae313b4b465d0ddULL, 0xfddcc69a8dd3ba58ULL},
+      {"cobra",
+       0x83cb474ade7d7b25ULL, 0x7f06039a42eff716ULL,
+       0x2cbaec8512255d4dULL, 0x744d1835efa8af08ULL},
+      {"flood",
+       0xba137b9e46af95d9ULL, 0x3568ef70fdb8c418ULL,
+       0x3943109c62dfd922ULL, 0x4a1c2c0a437c7cf0ULL},
+      {"pull",
+       0xffc8136c7fa609d8ULL, 0x5925ee0e1ce0badaULL,
+       0x72a26f1e32a44b91ULL, 0x51d8ca740d7b166eULL},
+      {"push",
+       0xb3f559e6763f34f5ULL, 0xddd7c343ac03c99bULL,
+       0xc3d6f021d1c9e2e9ULL, 0x91191dbffa2f4ff8ULL},
+      {"push-pull",
+       0xb7972029e61ce59eULL, 0x3f3bbe2b51916a0eULL,
+       0xe6a648f46a7b4492ULL, 0xf6e4b8df5721b814ULL},
+      {"sis",
+       0xd290681f33b6b4aeULL, 0x083165982cf9196cULL,
+       0xf13d3058b61b8478ULL, 0x3483afcab4a2fb1bULL},
+      {"walk",
+       0xa4cc25a2deade925ULL, 0x88975403035d03c4ULL,
+       0x3cb708a7926af7ddULL, 0x66e3d45d016efcd6ULL},
+  };
+  ASSERT_EQ(std::size(golden), process_names().size());
+  const std::vector<Graph> graphs = registry_graphs();
+  const ProcessParams params = {{"max_rounds", "2048"}};
+  for (const RegistryGolden& g : golden) {
+    EXPECT_DIGEST(observed_digest(graphs, g.name, params, Faults::kOff), g.off,
+                  std::string(g.name) + " off");
+    EXPECT_DIGEST(observed_digest(graphs, g.name, params, Faults::kDrop),
+                  g.drop, std::string(g.name) + " drop");
+    EXPECT_DIGEST(observed_digest(graphs, g.name, params, Faults::kDuty),
+                  g.duty, std::string(g.name) + " duty");
+    EXPECT_DIGEST(observed_digest(graphs, g.name, params, Faults::kChurn),
+                  g.churn, std::string(g.name) + " churn");
+  }
+}
+
+TEST(GoldenDigest, WeightedDrawsOnAnExpWeightedTorus) {
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::torus({40, 40}));
+  gen::generate_weights(graphs.front(), gen::WeightKind::kExp, 17);
+  struct Cell {
+    const char* name;
+    std::uint64_t off, drop;
+  };
+  const Cell golden[] = {
+      {"push", 0xcbd5ca193078a904ULL, 0x0e3289938b36c086ULL},
+      {"pull", 0xaa1c42f1359f04a8ULL, 0xe409ff4c90dd1c3fULL},
+      {"push-pull", 0x48513a964dc4f346ULL, 0x79dc67ffc4f3be4aULL},
+      {"walk", 0xf1c667df1d41a3d7ULL, 0x844faa160b0f8287ULL},
+      {"branching-walk", 0xfbfed9f8b2fe0cb3ULL, 0x8de07ba35ebebc24ULL},
+      {"sis", 0x3d6c6574b8be6ef1ULL, 0x855d8eddeb8cdff1ULL},
+  };
+  const ProcessParams params = {{"weighted", "1"}, {"max_rounds", "2048"}};
+  for (const Cell& c : golden) {
+    EXPECT_DIGEST(observed_digest(graphs, c.name, params, Faults::kOff), c.off,
+                  std::string("weighted ") + c.name + " off");
+    EXPECT_DIGEST(observed_digest(graphs, c.name, params, Faults::kDrop),
+                  c.drop, std::string("weighted ") + c.name + " drop");
+  }
+}
+
+TEST(GoldenDigest, SisFractionalBranching) {
+  const std::vector<Graph> graphs = registry_graphs();
+  const ProcessParams params = {{"rho", "0.35"}, {"max_rounds", "2048"}};
+  EXPECT_DIGEST(observed_digest(graphs, "sis", params, Faults::kOff),
+                0x7d39d303cf345d0eULL, "off");
+  EXPECT_DIGEST(observed_digest(graphs, "sis", params, Faults::kDrop),
+                0xb96dbabd83e18ab2ULL, "drop");
+}
+
+TEST(GoldenDigest, BranchingWalkEvenShareSplitAndFloodOnACycle) {
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::cycle(600));
+  struct Cell {
+    Faults kind;
+    const char* what;
+    std::uint64_t branching_walk, flood;
+  };
+  const Cell golden[] = {
+      {Faults::kOff, "off", 0xe877ece1b2756e7cULL, 0xbd3be45d349ac045ULL},
+      {Faults::kDrop, "drop", 0x249e94d48ed4d610ULL, 0x7cec445b6ae1402cULL},
+      {Faults::kDuty, "duty", 0xfd8ba470165e01e4ULL, 0x0bccc5dd890da326ULL},
+      {Faults::kChurn, "churn", 0x5587c3ad8912066cULL, 0x0b4c8fb8a91aef04ULL},
+  };
+  for (const Cell& c : golden) {
+    std::size_t split_rounds = 0;
+    EXPECT_DIGEST(
+        observed_digest(graphs, "branching-walk", {}, c.kind, &split_rounds),
+        c.branching_walk, std::string("cycle branching-walk ") + c.what);
+    EXPECT_GT(split_rounds, 0u) << c.what;
+    EXPECT_DIGEST(observed_digest(graphs, "flood", {}, c.kind), c.flood,
+                  std::string("cycle flood ") + c.what);
+  }
 }
 
 }  // namespace
