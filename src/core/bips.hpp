@@ -154,6 +154,14 @@ class BipsProcess final : public Process {
   /// whose every probe was lost likewise keeps its state. Delivered
   /// probes behave normally. The forced-outcome/early-exit machinery is
   /// bypassed (its skips assume lossless probes).
+  ///
+  /// Unlike the other processes, BIPS keeps this round apart from step()
+  /// instead of one template over the fault policy: the two draw different
+  /// streams. step() asks fractional branching's extra probe through the
+  /// geometric skipper, only after a first probe missed, and list rounds
+  /// skip forced outcomes; this round draws all k probes of every
+  /// receiving vertex with rng.bernoulli for the extra one. Folding them
+  /// would change one of the two streams that the golden digests pin.
   void step_faulty(Rng& rng);
   /// Draws A_{t+1} into next_ and swaps it in: sources stay infected and
   /// every other vertex u takes next_state(u, u in A_t), in ascending

@@ -95,23 +95,54 @@ std::vector<Round> CobraProcess::first_visit_rounds() const {
   return rounds;
 }
 
-std::size_t CobraProcess::step(Rng& rng) {
+std::size_t CobraProcess::step(Rng& rng) { return step_with(rng, kNoFaults); }
+
+void CobraProcess::do_step(Rng& rng) {
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
+  }
+}
+
+template <typename Faults>
+std::size_t CobraProcess::step_with(Rng& rng, Faults& faults) {
   if (options_.record_curves) accounting_.begin_round();
   const Branching& branching = options_.branching;
-  if (!branching.is_fractional() && branching.k == 1 && frontier_size_ == 1) {
+  if (Faults::kLossless && !branching.is_fractional() && branching.k == 1 &&
+      frontier_size_ == 1) {
     const std::size_t visited = visited_count_;
     walk(rng, round_ + 1);
     return visited_count_ - visited;
   }
+  // The RNG lives in a local: the bitset stores below may alias a
+  // referenced RNG's state, which would then go to memory every draw.
+  Rng local = rng;
   const Draws draw = draws_of(*graph_, alias_);
   VertexSet& next = next_;
+  std::size_t frozen = 0;
+  // Down: the token is frozen in place — no sends, no accounting.
+  const auto frozen_in_place = [&](Vertex v) {
+    if (faults.can_send(v)) return false;
+    next.insert(v);
+    ++frozen;
+    return true;
+  };
   const auto push = [&](Vertex v, unsigned pushes) {
     std::uint32_t degree = 0;
     std::size_t begin = 0;
     const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
+    bool delivered = false;
     for (unsigned p = 0; p < pushes; ++p) {
-      next.insert(nbrs[draw.draw_index(begin, degree, rng)]);
+      const Vertex w = nbrs[draw.draw_index(begin, degree, local)];
+      if (faults.transmit(v, p, w)) {
+        next.insert(w);
+        delivered = true;
+      }
     }
+    // Every push lost/blocked: the token is retained, not extinguished —
+    // faults delay coverage, they never kill the process.
+    if (!Faults::kLossless && !delivered) next.insert(v);
   };
   // Totals and peak are always counted: transmission results must not
   // depend on whether curves are recorded. Only the per-round breakdown
@@ -119,15 +150,19 @@ std::size_t CobraProcess::step(Rng& rng) {
   if (branching.is_fractional()) {
     BernoulliSkipper extra(branching.rho);
     scan<true>(current_, [&](Vertex v) {
-      const unsigned pushes = 1u + (extra.next(rng) ? 1u : 0u);
+      if (frozen_in_place(v)) return;
+      const unsigned pushes = 1u + (extra.next(local) ? 1u : 0u);
       accounting_.record_vertex_send(pushes);
       push(v, pushes);
     });
   } else {
     const unsigned k = branching.k;
-    accounting_.record_sends(frontier_size_, k);
-    scan<true>(current_, [&](Vertex v) { push(v, k); });
+    scan<true>(current_, [&](Vertex v) {
+      if (!frozen_in_place(v)) push(v, k);
+    });
+    accounting_.record_sends(frontier_size_ - frozen, k);
   }
+  rng = local;
   return finish_round();
 }
 
@@ -195,40 +230,6 @@ void CobraProcess::walk(Rng& rng, std::size_t round_limit) {
   frontier_listed_ = false;
   visited_count_ = visited;
   round_ = round;
-}
-
-void CobraProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  if (options_.record_curves) accounting_.begin_round();
-  const Branching& branching = options_.branching;
-  const bool fractional = branching.is_fractional();
-  BernoulliSkipper extra(fractional ? branching.rho : 0.0);
-  const Draws draw = draws_of(*graph_, alias_);
-  scan<true>(current_, [&](Vertex v) {
-    if (!fs.can_send(v)) {
-      // Down: the token is frozen in place — no sends, no accounting.
-      next_.insert(v);
-      return;
-    }
-    const unsigned pushes =
-        fractional ? 1u + (extra.next(rng) ? 1u : 0u) : branching.k;
-    accounting_.record_vertex_send(pushes);
-    std::uint32_t degree = 0;
-    std::size_t begin = 0;
-    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
-    bool any_delivered = false;
-    for (unsigned p = 0; p < pushes; ++p) {
-      const Vertex w = nbrs[draw.draw_index(begin, degree, rng)];
-      if (fs.transmit(v, p, w)) {
-        next_.insert(w);
-        any_delivered = true;
-      }
-    }
-    // Every push lost/blocked: the token is retained, not extinguished —
-    // faults delay coverage, they never kill the process.
-    if (!any_delivered) next_.insert(v);
-  });
-  finish_round();
 }
 
 namespace {

@@ -26,6 +26,13 @@
 //    digests of it.
 //  * Fractional branching asks a geometric-skipping Bernoulli helper, so
 //    the rho-draw costs one uniform per extra push, not one per vertex.
+//  * Under faults (core/faults.hpp) tokens are conserved, never
+//    corrupted: a down frontier vertex keeps its token in place for the
+//    round (so a start vertex that is down at round 0 simply waits — see
+//    README "Fault model"), and a vertex whose every push was lost
+//    retains its token instead of going extinct. Transmissions are
+//    counted per actual send. One round template serves both cases
+//    (step_with); the k = 1 walk loop runs only without faults.
 //
 // The class exposes round-level stepping so examples can observe frontier
 // dynamics; run_cobra_cover / cobra_hitting_time wrap the common
@@ -85,8 +92,9 @@ class CobraProcess final : public Process {
   void reset(Vertex start);
   void reset(std::span<const Vertex> starts);
 
-  /// Executes one round; returns the number of first-time visits. The
-  /// inherited Process::step() drives this with the captured trial RNG.
+  /// Executes one fault-free round; returns the number of first-time
+  /// visits. The inherited Process::step() drives the round with the
+  /// captured trial RNG, under the attached fault model if any.
   using Process::step;
   std::size_t step(Rng& rng);
 
@@ -138,13 +146,7 @@ class CobraProcess final : public Process {
 
  protected:
   void do_reset(std::span<const Vertex> starts) override { reset(starts); }
-  void do_step(Rng& rng) override {
-    if (faults() != nullptr) {
-      step_faulty(rng);
-      return;
-    }
-    step(rng);
-  }
+  void do_step(Rng& rng) override;
   bool curve_enabled() const override { return options_.record_curves; }
   /// Under fixed k = 1: steps until the frontier is one vertex and runs the
   /// rest of the trial as walk(). Any other branching runs no rounds here.
@@ -157,13 +159,10 @@ class CobraProcess final : public Process {
   /// round of it; run_unobserved() the rest of the trial.
   void walk(Rng& rng, std::size_t round_limit);
 
-  /// Fault-aware round (core/faults.hpp). Tokens are conserved, never
-  /// corrupted: a down frontier vertex keeps its token in place for the
-  /// round (so a start vertex that is down at round 0 simply waits — see
-  /// README "Fault model"), and a vertex whose every push was lost
-  /// retains its token instead of going extinct. Transmissions are
-  /// counted per actual send.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults);
+  /// returns the number of first-time visits.
+  template <typename Faults>
+  std::size_t step_with(Rng& rng, Faults& faults);
 
   /// Ends a round whose draws filled next_: merges it into the visited
   /// set, makes it C_t and returns the number of first visits.

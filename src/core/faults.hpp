@@ -25,9 +25,11 @@
 // schedules differ per trial but are bitwise reproducible from
 // (base_seed, job index, trial index) like everything else.
 //
-// With no fault model attached, processes never touch this layer: their
-// hot loops and RNG streams are byte-identical to a build without it
-// (CI-enforced on the scenario outputs).
+// Each process writes its round once, as a template over a fault policy:
+// FaultSession when a model is attached, NoFaults otherwise. NoFaults's
+// checks are constants that compile away, so a fault-free round draws
+// exactly the stream it drew before this layer existed (pinned by the
+// golden digests in tests/ and CI-enforced on the scenario outputs).
 #pragma once
 
 #include <cstdint>
@@ -84,12 +86,31 @@ class FaultModel {
   FaultOptions options_;
 };
 
+/// The fault policy of a round with no fault model attached: every vertex
+/// sends and receives and every message is delivered. kLossless tells a
+/// round template where the lossless round may differ from the faulty
+/// one: stop probing at the first hit, send only from the frontier, take a
+/// shortcut that a lost message would invalidate.
+struct NoFaults {
+  static constexpr bool kLossless = true;
+  static constexpr bool can_send(std::uint32_t) noexcept { return true; }
+  static constexpr bool can_receive(std::uint32_t) noexcept { return true; }
+  static constexpr bool transmit(std::uint32_t, std::uint32_t,
+                                 std::uint32_t) noexcept {
+    return true;
+  }
+};
+inline constexpr NoFaults kNoFaults{};
+
 /// Per-process fault state: the per-round up/awake masks, the keyed
 /// decision streams, and the per-vertex tx/rx/listen counters. Owned by a
 /// Process (one per workspace, allocated once at attach — the zero
 /// steady-state-allocation contract holds; per-trial work is O(n) fills).
 class FaultSession {
  public:
+  /// Messages can be lost (see NoFaults).
+  static constexpr bool kLossless = false;
+
   explicit FaultSession(const FaultModel& model);
 
   /// Starts a trial: derives the trial's decision streams from `entropy`

@@ -179,11 +179,12 @@ class Process {
 
   /// Attaches a fault-injection model (core/faults.hpp): subsequent
   /// resets derive per-trial fault streams and every step runs the
-  /// process's fault-aware round. The model is borrowed (never owned) and
-  /// must outlive the process; it must be sized for the process's graph.
-  /// nullptr detaches, restoring the untouched hot path. Allocates the
-  /// session workspace once at attach — never during trials. Call before
-  /// reset(); attaching mid-trial is undefined.
+  /// process's round under the fault session. The model is borrowed
+  /// (never owned) and must outlive the process; it must be sized for the
+  /// process's graph. nullptr detaches, restoring the fault-free
+  /// (NoFaults) round. Allocates the session workspace once at attach —
+  /// never during trials. Call before reset(); attaching mid-trial is
+  /// undefined.
   void set_fault_model(const FaultModel* model);
 
   /// The live fault session (per-vertex tx/rx/listen counters, delivery
@@ -218,9 +219,10 @@ class Process {
   std::vector<std::size_t>& mutable_curve() noexcept { return curve_; }
 
   /// The mutable fault session for do_step implementations; nullptr when
-  /// no fault model is attached. A do_step whose session is non-null must
-  /// run its fault-aware round (step_faulty); the base step() has already
-  /// called begin_round for it.
+  /// no fault model is attached. A do_step runs its round under this
+  /// session when it is non-null and under NoFaults otherwise (one
+  /// template, core/faults.hpp); the base step() has already called
+  /// begin_round for it.
   FaultSession* faults() noexcept { return fault_session_.get(); }
 
   /// Cap on the curve_size_hint default, so a 2^28-step walk budget does

@@ -55,77 +55,63 @@ void SisProcess::do_reset(std::span<const Vertex> seeds) {
 }
 
 void SisProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
   }
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
-  const Branching& branching = options_.branching;
-  std::size_t next_count = 0;
-  std::uint64_t round_peak = 0;
-  for (Vertex u = 0; u < n; ++u) {
-    const auto degree = static_cast<std::uint32_t>(g.degree(u));
-    const unsigned draws = branching.is_fractional()
-                               ? 1u + (rng.bernoulli(branching.rho) ? 1u : 0u)
-                               : branching.k;
-    char hit = 0;
-    unsigned drawn = 0;
-    for (unsigned i = 0; i < draws; ++i) {
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, u, rng)
-                           : g.neighbor(u, rng.next_below32(degree));
-      ++drawn;
-      if (infected_[w]) {
-        hit = 1;
-        break;
-      }
-    }
-    probes_ += drawn;
-    round_peak = std::max<std::uint64_t>(round_peak, drawn);
-    next_[u] = hit;
-    next_count += hit;
-  }
-  peak_ = std::max(peak_, round_peak);
-  infected_.swap(next_);
-  count_ = next_count;
-  ++round_;
 }
 
-void SisProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
+template <typename Faults>
+void SisProcess::step_with(Rng& rng, Faults& faults) {
+  // The RNG, arrays and counters live in locals: a char store into the
+  // next bitmap may alias anything, so members would be reloaded and
+  // written back around every draw.
   const Graph& g = *graph_;
+  const GraphAliasTables* alias = alias_;
   const std::size_t n = g.num_vertices();
-  const Branching& branching = options_.branching;
+  const Branching branching = options_.branching;
+  const char* infected = infected_.data();
+  char* next = next_.data();
   std::size_t next_count = 0;
+  std::uint64_t probes = 0;
   std::uint64_t round_peak = 0;
+  Rng local = rng;
   for (Vertex u = 0; u < n; ++u) {
     // Down or asleep: u cannot hear any probe response; state frozen.
-    if (!fs.can_receive(u)) {
-      next_[u] = infected_[u];
-      next_count += next_[u] != 0;
+    if (!faults.can_receive(u)) {
+      next[u] = infected[u];
+      next_count += next[u] != 0;
       continue;
     }
     const auto degree = static_cast<std::uint32_t>(g.degree(u));
     const unsigned draws = branching.is_fractional()
-                               ? 1u + (rng.bernoulli(branching.rho) ? 1u : 0u)
+                               ? 1u + (local.bernoulli(branching.rho) ? 1u : 0u)
                                : branching.k;
-    bool any_delivered = false;
+    // Without losses the first infected neighbour decides u, so the rest
+    // of its probes are never drawn; under faults every probe is sent.
+    bool delivered = false;
     char hit = 0;
-    for (unsigned i = 0; i < draws; ++i) {
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, u, rng)
-                           : g.neighbor(u, rng.next_below32(degree));
-      if (fs.transmit(u, i, w)) {
-        any_delivered = true;
-        if (infected_[w]) hit = 1;
+    unsigned drawn = 0;
+    while (drawn < draws) {
+      const Vertex w = alias != nullptr
+                           ? alias->draw(g, u, local)
+                           : g.neighbor(u, local.next_below32(degree));
+      if (faults.transmit(u, drawn++, w)) {
+        delivered = true;
+        if (infected[w]) {
+          hit = 1;
+          if (Faults::kLossless) break;
+        }
       }
     }
-    probes_ += draws;
-    round_peak = std::max<std::uint64_t>(round_peak, draws);
-    next_[u] = any_delivered ? hit : infected_[u];
-    next_count += next_[u] != 0;
+    probes += drawn;
+    round_peak = std::max<std::uint64_t>(round_peak, drawn);
+    next[u] = Faults::kLossless || delivered ? hit : infected[u];
+    next_count += next[u] != 0;
   }
+  rng = local;
+  probes_ += probes;
   peak_ = std::max(peak_, round_peak);
   infected_.swap(next_);
   count_ = next_count;

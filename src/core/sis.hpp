@@ -49,6 +49,12 @@ struct SisResult {
 /// SisResult, the unified result also counts the neighbour probes the
 /// dynamics consumed (total_transmissions); SpreadResult::completed means
 /// full infection — extinction and timeout both read as failures.
+///
+/// Under faults (core/faults.hpp) probes are request/response pairs, so a
+/// down or asleep vertex — or one whose every probe was lost — keeps its
+/// current state for the round (delay, never corrupt). An infected
+/// sleeping vertex therefore cannot spuriously recover, and faults alone
+/// never extinguish a live epidemic mid-round.
 class SisProcess final : public Process {
  public:
   explicit SisProcess(const Graph& g, SisOptions options = {});
@@ -86,12 +92,9 @@ class SisProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): probes are request/response
-  /// pairs, so a down or asleep vertex — or one whose every probe was
-  /// lost — keeps its current state for the round (delay, never corrupt).
-  /// An infected sleeping vertex therefore cannot spuriously recover, and
-  /// faults alone never extinguish a live epidemic mid-round.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
 
   const Graph* graph_;
   SisOptions options_;

@@ -18,13 +18,6 @@ namespace {
 
 std::atomic<std::size_t> g_default_threads{0};
 
-std::size_t resolve_threads() {
-  const std::size_t configured =
-      g_default_threads.load(std::memory_order_relaxed);
-  if (configured != 0) return configured;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
 /// Assembly goes parallel only past this many queued edges; below it the
 /// pool spin-up would dominate the build itself.
 constexpr std::size_t kParallelEdgeThreshold = 1 << 15;
@@ -51,7 +44,7 @@ constexpr std::size_t kEmitChunk = 1 << 15;
 class BuildPool {
  public:
   BuildPool(std::size_t work_items, std::size_t parallel_threshold) {
-    const std::size_t threads = resolve_threads();
+    const std::size_t threads = GraphBuilder::default_threads();
     if (threads > 1 && work_items >= parallel_threshold) {
       pool_.emplace(threads - 1);
     }
@@ -519,7 +512,10 @@ void GraphBuilder::set_default_threads(std::size_t threads) noexcept {
 }
 
 std::size_t GraphBuilder::default_threads() noexcept {
-  return g_default_threads.load(std::memory_order_relaxed);
+  const std::size_t configured =
+      g_default_threads.load(std::memory_order_relaxed);
+  if (configured != 0) return configured;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void GraphBuilder::add_edge(Vertex u, Vertex v) {

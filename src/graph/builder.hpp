@@ -92,11 +92,14 @@ class GraphBuilder {
   Graph build_serial(std::string name);
   Graph build_dedup_serial(std::string name);
 
-  /// Process-wide default parallelism for graph assembly: 0 (the default)
-  /// means hardware_concurrency; 1 forces serial execution of the parallel
-  /// algorithm (bitwise-identical output either way). Benches and the
-  /// thread-count-independence tests set this explicitly.
+  /// Process-wide parallelism of the graph substrate (assembly, weight
+  /// fill, alias build, streamed scatter): set_default_threads(0) (the
+  /// default) means hardware_concurrency; 1 forces serial execution of the
+  /// parallel algorithms (bitwise-identical output either way). Benches
+  /// and the thread-count-independence tests set this explicitly.
   static void set_default_threads(std::size_t threads) noexcept;
+  /// The resolved thread count: the configured value, else
+  /// hardware_concurrency, at least 1.
   static std::size_t default_threads() noexcept;
 
  private:

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "graph/builder.hpp"
 #include "rand/alias.hpp"
@@ -73,11 +72,7 @@ const GraphAliasTables& Graph::alias_tables() const {
                         tables.alias_.data() + begin, scratch);
       }
     };
-    const std::size_t configured = GraphBuilder::default_threads();
-    const std::size_t threads =
-        configured != 0
-            ? configured
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t threads = GraphBuilder::default_threads();
     if (chunks > 1 && threads > 1 &&
         w_view_.size() >= kParallelEndpointThreshold) {
       ThreadPool pool(threads - 1);
@@ -209,12 +204,12 @@ Graph::Graph(const Graph& other)
       offsets64_(other.offsets64_),
       adjacency_(other.adjacency_),
       weights_(other.weights_),
-      alias_cell_(other.alias_cell_),
       off32_view_(other.off32_view_),
       off64_view_(other.off64_view_),
       adj_view_(other.adj_view_),
       w_view_(other.w_view_),
       backing_(other.backing_),
+      alias_cell_(other.alias_cell_),
       name_(other.name_),
       num_vertices_(other.num_vertices_),
       min_degree_(other.min_degree_),

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -145,12 +144,8 @@ StreamToCgrStats stream_to_cgr(const EdgeStream& stream,
   std::vector<std::mutex> spill_mutex(shards);
   std::vector<std::uint64_t> shard_endpoints(shards, 0);  // guarded per shard
 
-  const std::size_t configured =
-      options.threads != 0 ? options.threads : GraphBuilder::default_threads();
   const std::size_t threads =
-      configured != 0
-          ? configured
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+      options.threads != 0 ? options.threads : GraphBuilder::default_threads();
 
   // Flush threshold per (thread, shard) buffer: aim the total buffer pool
   // at ~budget/4, clamped to keep flushes chunky but bounded.

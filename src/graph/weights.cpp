@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -74,11 +73,7 @@ void generate_weights(Graph& g, WeightKind kind, std::uint64_t seed) {
   // Honour the same process-wide parallelism knob as graph assembly
   // (GraphBuilder::set_default_threads): campaigns already run this
   // inside pool workers, and a pinned build must stay pinned here too.
-  const std::size_t configured = GraphBuilder::default_threads();
-  const std::size_t threads =
-      configured != 0
-          ? configured
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t threads = GraphBuilder::default_threads();
   if (chunks > 1 && threads > 1 && endpoints >= kParallelEndpointThreshold) {
     ThreadPool pool(threads - 1);
     pool.parallel_for(chunks, fill_chunk);

@@ -56,44 +56,76 @@ void BranchingWalkProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void BranchingWalkProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
   }
+}
+
+template <typename Faults>
+void BranchingWalkProcess::step_with(Rng& rng, Faults& faults) {
+  // Locals for the RNG, arrays and counters (see PushProcess::step_with).
   const Graph& g = *graph_;
+  const GraphAliasTables* alias = alias_;
   const std::size_t n = g.num_vertices();
+  const unsigned k = options_.k;
+  const std::uint64_t cap = options_.vertex_cap;
+  const std::uint64_t* counts = counts_.data();
+  std::uint64_t* next = next_.data();
+  const auto add = [&](Vertex w, std::uint64_t particles) {
+    next[w] = std::min(cap, next[w] + particles);
+  };
   std::fill(next_.begin(), next_.end(), std::uint64_t{0});
   std::uint64_t moves = 0;
+  Rng local = rng;
   for (Vertex v = 0; v < n; ++v) {
-    const std::uint64_t particles = counts_[v];
+    const std::uint64_t particles = counts[v];
     if (particles == 0) continue;
+    if (!faults.can_send(v)) {
+      add(v, particles);  // down: frozen in place (delay, never corrupt)
+      continue;
+    }
     const std::size_t degree = g.degree(v);
     // For small populations simulate each particle's k draws; for large
     // ones (>= degree * 64) every neighbour is hit with overwhelming
     // probability — split the population multinomially-approximate by
     // even shares, which preserves totals and occupied support.
     if (particles < static_cast<std::uint64_t>(degree) * 64) {
+      std::uint32_t index = 0;
       for (std::uint64_t p = 0; p < particles; ++p) {
-        for (unsigned i = 0; i < options_.k; ++i) {
+        bool delivered = false;
+        for (unsigned i = 0; i < k; ++i) {
           const Vertex w =
-              alias_ != nullptr
-                  ? alias_->draw(g, v, rng)
-                  : g.neighbor(v, rng.next_below32(
+              alias != nullptr
+                  ? alias->draw(g, v, local)
+                  : g.neighbor(v, local.next_below32(
                                       static_cast<std::uint32_t>(degree)));
-          next_[w] = std::min(options_.vertex_cap, next_[w] + 1);
           ++moves;
+          if (faults.transmit(v, index++, w)) {
+            add(w, 1);
+            delivered = true;
+          }
         }
+        // Every spawn lost: the particle survives in place.
+        if (!Faults::kLossless && !delivered) add(v, 1);
       }
     } else {
-      const std::uint64_t out = particles * options_.k;
+      const std::uint64_t out = particles * k;
       const std::uint64_t share = out / degree;
-      for (const Vertex w : g.neighbors(v)) {
-        next_[w] = std::min(options_.vertex_cap, next_[w] + share);
+      if constexpr (Faults::kLossless) {
+        for (const Vertex w : g.neighbors(v)) add(w, share);
+      } else if (split_lossy(faults, v, out, share) == 0) {
+        // Nothing deliverable (every neighbour blocked, or the scaled
+        // share rounded to zero): the population survives in place —
+        // faults delay the walk, they never extinguish it.
+        add(v, particles);
       }
       moves += out;
       saturated_ = true;
     }
   }
+  rng = local;
   std::uint64_t population = 0;
   std::size_t occupied = 0;
   for (Vertex v = 0; v < n; ++v) {
@@ -106,7 +138,7 @@ void BranchingWalkProcess::do_step(Rng& rng) {
       }
     }
     population += counts_[v];
-    saturated_ |= (counts_[v] >= options_.vertex_cap);
+    saturated_ |= (counts_[v] >= cap);
   }
   messages_ += moves;
   population_ = population;
@@ -114,101 +146,31 @@ void BranchingWalkProcess::do_step(Rng& rng) {
   ++round_;
 }
 
-void BranchingWalkProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
+std::uint64_t BranchingWalkProcess::split_lossy(FaultSession& fs, Vertex v,
+                                                std::uint64_t out,
+                                                std::uint64_t share) {
   const double keep = 1.0 - fs.model().options().drop;
-  std::fill(next_.begin(), next_.end(), std::uint64_t{0});
-  std::uint64_t moves = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    const std::uint64_t particles = counts_[v];
-    if (particles == 0) continue;
-    if (!fs.can_send(v)) {
-      // Down: all particles frozen in place (delay, never corrupt).
-      next_[v] = std::min(options_.vertex_cap, next_[v] + particles);
-      continue;
-    }
-    const std::size_t degree = g.degree(v);
-    if (particles < static_cast<std::uint64_t>(degree) * 64) {
-      // Per-particle path: each spawn is one message; a particle whose
-      // every spawn was lost survives in place.
-      std::uint32_t index = 0;
-      for (std::uint64_t p = 0; p < particles; ++p) {
-        bool any_delivered = false;
-        for (unsigned i = 0; i < options_.k; ++i) {
-          const Vertex w =
-              alias_ != nullptr
-                  ? alias_->draw(g, v, rng)
-                  : g.neighbor(v, rng.next_below32(
-                                      static_cast<std::uint32_t>(degree)));
-          ++moves;
-          if (fs.transmit(v, index++, w)) {
-            next_[w] = std::min(options_.vertex_cap, next_[w] + 1);
-            any_delivered = true;
-          }
-        }
-        if (!any_delivered) {
-          next_[v] = std::min(options_.vertex_cap, next_[v] + 1);
-        }
+  const auto delivered_share =
+      static_cast<std::uint64_t>(static_cast<double>(share) * keep);
+  fs.record_tx_bulk(v, out);
+  std::uint64_t accounted = 0;
+  std::uint64_t delivered = 0;
+  for (const Vertex w : graph_->neighbors(v)) {
+    if (fs.can_receive(w)) {
+      if (delivered_share > 0) {
+        next_[w] = std::min(options_.vertex_cap, next_[w] + delivered_share);
+        fs.record_rx_bulk(w, delivered_share);
+        delivered += delivered_share;
       }
+      fs.record_dropped_bulk(share - delivered_share);
     } else {
-      // Saturated even-share path: drops are applied in expectation (the
-      // per-neighbour share scaled by 1 - drop — deterministic double
-      // arithmetic, so still bitwise reproducible), receivers that cannot
-      // receive get nothing, and the split is recorded through the bulk
-      // counters so tx == delivered + dropped + blocked holds exactly.
-      const std::uint64_t out = particles * options_.k;
-      const std::uint64_t share = out / degree;
-      const auto delivered_share =
-          static_cast<std::uint64_t>(static_cast<double>(share) * keep);
-      fs.record_tx_bulk(v, out);
-      std::uint64_t accounted = 0;
-      std::uint64_t delivered_here = 0;
-      for (const Vertex w : g.neighbors(v)) {
-        if (fs.can_receive(w)) {
-          if (delivered_share > 0) {
-            next_[w] =
-                std::min(options_.vertex_cap, next_[w] + delivered_share);
-            fs.record_rx_bulk(w, delivered_share);
-            delivered_here += delivered_share;
-          }
-          fs.record_dropped_bulk(share - delivered_share);
-        } else {
-          fs.record_blocked_bulk(share);
-        }
-        accounted += share;
-      }
-      // The integer-division remainder of the split is charged as loss.
-      fs.record_dropped_bulk(out - accounted);
-      // Nothing deliverable (every neighbour blocked, or the scaled share
-      // rounded to zero): the population survives in place — faults delay
-      // the walk, they never extinguish it.
-      if (delivered_here == 0) {
-        next_[v] = std::min(options_.vertex_cap, next_[v] + particles);
-      }
-      moves += out;
-      saturated_ = true;
+      fs.record_blocked_bulk(share);
     }
+    accounted += share;
   }
-  std::uint64_t population = 0;
-  std::size_t occupied = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    counts_[v] = next_[v];
-    if (counts_[v] > 0) {
-      ++occupied;
-      if (!visited_[v]) {
-        visited_[v] = 1;
-        ++visited_count_;
-      }
-    }
-    population += counts_[v];
-    saturated_ |= (counts_[v] >= options_.vertex_cap);
-  }
-  messages_ += moves;
-  population_ = population;
-  occupied_ = occupied;
-  ++round_;
+  // The integer-division remainder of the split is charged as loss.
+  fs.record_dropped_bulk(out - accounted);
+  return delivered;
 }
 
 BranchingWalkResult run_branching_walk(const Graph& g, Vertex start,

@@ -47,6 +47,12 @@ struct BranchingWalkOptions {
 /// the large-population multinomial-approximate split. The curve follows
 /// the uniform semantics (distinct visited per round); the particle
 /// population and saturation flag stay available via accessors.
+///
+/// Under faults (core/faults.hpp) a down vertex's particles are frozen in
+/// place (a down start vertex at round 0 simply waits — the documented
+/// tolerate behaviour), and on the per-particle path a particle whose
+/// every spawn was lost survives in place, so faults never extinguish the
+/// population. The saturated even-share split is split_lossy.
 class BranchingWalkProcess final : public Process {
  public:
   explicit BranchingWalkProcess(const Graph& g,
@@ -83,15 +89,19 @@ class BranchingWalkProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): a down vertex's particles are
-  /// frozen in place (a down start vertex at round 0 simply waits — the
-  /// documented tolerate behaviour), and on the per-particle path a
-  /// particle whose every spawn was lost survives in place, so faults
-  /// never extinguish the population. The saturated even-share path
-  /// applies drops in expectation (share scaled by 1 - drop) and skips
-  /// receivers that cannot receive, recording the split through the
-  /// session's bulk counters so conservation holds exactly.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
+
+  /// The saturated even-share split of v's `out` spawns under faults,
+  /// `share` per neighbour: drops are applied in expectation (the share
+  /// scaled by 1 - drop, deterministic double arithmetic, so still
+  /// bitwise reproducible), receivers that cannot receive get nothing,
+  /// and the split is recorded through the session's bulk counters so tx
+  /// == delivered + dropped + blocked holds exactly. Returns the particles
+  /// delivered.
+  std::uint64_t split_lossy(FaultSession& fs, Vertex v, std::uint64_t out,
+                            std::uint64_t share);
 
   const Graph* graph_;
   BranchingWalkOptions options_;

@@ -8,12 +8,13 @@
 namespace cobra {
 
 FloodProcess::FloodProcess(const Graph& g, FloodOptions options)
-    : graph_(&g), options_(options), informed_(g.num_vertices(), 0) {
+    : graph_(&g),
+      options_(options),
+      informed_(g.num_vertices(), 0),
+      informed_list_(g.num_vertices()) {
   if (g.num_vertices() == 0) {
     throw std::invalid_argument("FloodProcess requires a non-empty graph");
   }
-  frontier_.reserve(g.num_vertices());
-  next_frontier_.reserve(g.num_vertices());
 }
 
 std::uint64_t FloodProcess::peak_vertex_round_transmissions() const {
@@ -32,10 +33,9 @@ void FloodProcess::do_reset(std::span<const Vertex> starts) {
     throw std::invalid_argument("flood start out of range");
   }
   std::fill(informed_.begin(), informed_.end(), char{0});
-  frontier_.clear();
-  next_frontier_.clear();
   informed_[start] = 1;
-  frontier_.push_back(start);
+  informed_list_[0] = start;
+  first_sender_ = 0;
   informed_degree_sum_ = graph_->degree(start);
   count_ = 1;
   round_ = 0;
@@ -43,55 +43,48 @@ void FloodProcess::do_reset(std::span<const Vertex> starts) {
   peak_ = 0;
 }
 
-void FloodProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+void FloodProcess::do_step(Rng&) {
+  if (FaultSession* fs = faults()) {
+    step_with(*fs);
+  } else {
+    step_with(kNoFaults);
   }
-  const Graph& g = *graph_;
-  // Every informed vertex sends to all neighbours; only frontier sends
-  // can inform anyone new, but the message count charges everyone.
-  transmissions_ += informed_degree_sum_;
-  next_frontier_.clear();
-  for (const Vertex v : frontier_) {
-    peak_ = std::max(peak_, static_cast<std::uint64_t>(g.degree(v)));
-    for (const Vertex w : g.neighbors(v)) {
-      if (!informed_[w]) {
-        informed_[w] = 1;
-        next_frontier_.push_back(w);
-        informed_degree_sum_ += g.degree(w);
-        ++count_;
-      }
-    }
-  }
-  frontier_.swap(next_frontier_);
-  ++round_;
 }
 
-void FloodProcess::step_faulty(Rng&) {
-  FaultSession& fs = *faults();
+template <typename Faults>
+void FloodProcess::step_with(Faults& faults) {
+  // Locals for the arrays and counters (see PushProcess::step_with).
   const Graph& g = *graph_;
-  // frontier_ is the full informed list in fault mode (do_reset seeds it
-  // with the start; every newly informed vertex is appended below). Only
-  // the vertices informed at the start of the round send.
-  const std::size_t senders = frontier_.size();
+  char* informed = informed_.data();
+  Vertex* list = informed_list_.data();
+  const std::size_t senders_end = count_;
+  std::size_t count = count_;
+  std::uint64_t degree_sum = informed_degree_sum_;
+  std::uint64_t peak = peak_;
   std::uint64_t sends = 0;
-  for (std::size_t i = 0; i < senders; ++i) {
-    const Vertex v = frontier_[i];
-    if (!fs.can_send(v)) continue;  // down: silent this round
+  for (std::size_t i = first_sender_; i < senders_end; ++i) {
+    const Vertex v = list[i];
+    if (!faults.can_send(v)) continue;  // down: silent this round
     const auto degree = static_cast<std::uint64_t>(g.degree(v));
-    peak_ = std::max(peak_, degree);
+    peak = std::max(peak, degree);
     sends += degree;
     std::uint32_t index = 0;
     for (const Vertex w : g.neighbors(v)) {
-      if (fs.transmit(v, index++, w) && !informed_[w]) {
-        informed_[w] = 1;
-        frontier_.push_back(w);
-        ++count_;
+      if (faults.transmit(v, index++, w) && !informed[w]) {
+        informed[w] = 1;
+        list[count++] = w;
+        degree_sum += g.degree(w);
       }
     }
   }
-  transmissions_ += sends;
+  // Every informed vertex sends to all neighbours; without losses only
+  // the frontier's sends can inform anyone, so only the frontier is
+  // walked, but the message count charges everyone.
+  transmissions_ += Faults::kLossless ? informed_degree_sum_ : sends;
+  if (Faults::kLossless) first_sender_ = senders_end;
+  informed_degree_sum_ = degree_sum;
+  count_ = count;
+  peak_ = peak;
   ++round_;
 }
 

@@ -21,18 +21,26 @@ struct FloodOptions {
 /// Steppable flood with a reusable workspace (see PushProcess).
 /// Deterministic: the RNG captured at reset() is never consumed, and a
 /// dead frontier (disconnected remainder) makes done() true early.
+///
+/// Under faults (core/faults.hpp) the BFS shortcut (only frontier sends
+/// matter) is wrong — a lost edge message must be retried — so EVERY up
+/// informed vertex re-sends to all neighbours each round
+/// (Theta(informed-degree) messages per round, the honest flooding cost).
+/// The senders never run out, so done() reduces to full cover or the
+/// round budget; transmissions and the per-vertex peak count actual sends.
 class FloodProcess final : public Process {
  public:
   explicit FloodProcess(const Graph& g, FloodOptions options = {});
 
   bool done() const override {
-    return count_ == graph_->num_vertices() || frontier_.empty() ||
+    return count_ == graph_->num_vertices() || count_ == first_sender_ ||
            round_ >= options_.max_rounds;
   }
   std::size_t round() const override { return round_; }
   std::size_t reached_count() const override { return count_; }
-  /// Working set = the BFS frontier (only its sends can inform anyone).
-  std::size_t active_count() const override { return frontier_.size(); }
+  /// Working set = the next round's senders: the BFS frontier, or every
+  /// informed vertex under faults.
+  std::size_t active_count() const override { return count_ - first_sender_; }
   bool completed() const override { return count_ == graph_->num_vertices(); }
   std::uint64_t total_transmissions() const override { return transmissions_; }
   /// Mirrors the legacy accounting: at least the graph's max degree (an
@@ -49,21 +57,18 @@ class FloodProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp). Under faults the BFS shortcut
-  /// (only frontier sends matter) is wrong — a lost edge message must be
-  /// retried — so frontier_ is repurposed as the full informed list and
-  /// EVERY up informed vertex re-sends to all neighbours each round
-  /// (Theta(informed-degree) messages per round, the honest flooding
-  /// cost). The list never empties, so done() reduces to full cover or
-  /// the round budget; transmissions and the per-vertex peak count actual
-  /// sends.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Faults& faults);
 
   const Graph* graph_;
   FloodOptions options_;
   std::vector<char> informed_;
-  std::vector<Vertex> frontier_;
-  std::vector<Vertex> next_frontier_;
+  /// The informed vertices in the order they were informed: [0, count_).
+  /// The next round's senders are [first_sender_, count_): the last
+  /// round's informees, or all of them under faults.
+  std::vector<Vertex> informed_list_;
+  std::size_t first_sender_ = 0;
   std::uint64_t informed_degree_sum_ = 0;
   std::size_t count_ = 0;
   std::size_t round_ = 0;

@@ -44,64 +44,47 @@ void PullProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PullProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
   }
+}
+
+template <typename Faults>
+void PullProcess::step_with(Rng& rng, Faults& faults) {
+  // Locals for the RNG, arrays and counters (see PushProcess::step_with).
   const Graph& g = *graph_;
+  const GraphAliasTables* alias = alias_;
   const std::size_t n = g.num_vertices();
+  char* informed = informed_.data();
   std::size_t contacts = 0;
   std::size_t new_informed = 0;
+  Rng local = rng;
   // Synchronous: pulls read the start-of-round state; since informed
   // vertices never revert, evaluating in place is equivalent.
   for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v]) continue;
+    if (informed[v]) continue;
     const auto degree = static_cast<std::uint32_t>(g.degree(v));
     if (degree == 0) continue;  // isolated: nothing to pull from
-    ++contacts;
-    const Vertex w = alias_ != nullptr
-                         ? alias_->draw(g, v, rng)
-                         : g.neighbor(v, rng.next_below32(degree));
-    if (informed_[w] == 1) {  // == 1: only start-of-round informed count
-      informed_[v] = 2;       // mark for activation after the sweep
-      ++new_informed;
-    }
-  }
-  for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v] == 2) informed_[v] = 1;
-  }
-  count_ += new_informed;
-  transmissions_ += contacts;
-  peak_ = 1;
-  ++round_;
-}
-
-void PullProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
-  std::size_t contacts = 0;
-  std::size_t new_informed = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v]) continue;
-    const auto degree = static_cast<std::uint32_t>(g.degree(v));
-    if (degree == 0) continue;
     // A pull is a request/response pair: v must be up and awake to hear
     // the response, and the one transmit models the round trip (the
     // contacted neighbour must be up and awake to answer, and the channel
     // must not drop it).
-    if (!fs.can_receive(v)) continue;
+    if (!faults.can_receive(v)) continue;
     ++contacts;
-    const Vertex w = alias_ != nullptr
-                         ? alias_->draw(g, v, rng)
-                         : g.neighbor(v, rng.next_below32(degree));
-    if (fs.transmit(v, 0, w) && informed_[w] == 1) {
-      informed_[v] = 2;  // mark for activation after the sweep
+    const Vertex w = alias != nullptr
+                         ? alias->draw(g, v, local)
+                         : g.neighbor(v, local.next_below32(degree));
+    // == 1: only start-of-round informed vertices answer.
+    if (faults.transmit(v, 0, w) && informed[w] == 1) {
+      informed[v] = 2;  // mark for activation after the sweep
       ++new_informed;
     }
   }
+  rng = local;
   for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v] == 2) informed_[v] = 1;
+    if (informed[v] == 2) informed[v] = 1;
   }
   count_ += new_informed;
   transmissions_ += contacts;

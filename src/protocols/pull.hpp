@@ -26,6 +26,11 @@ struct PullOptions {
 /// Steppable pull with a reusable workspace (see PushProcess). The RNG
 /// stream is draw-for-draw identical to the legacy run_pull (uninformed
 /// vertices contact in ascending order).
+///
+/// Under faults (core/faults.hpp) a pull is a request/response pair, so a
+/// down or asleep vertex cannot contact anyone (it would not hear the
+/// response); one fault draw per contact decides the round trip. Informed
+/// membership stays monotone.
 class PullProcess final : public Process {
  public:
   explicit PullProcess(const Graph& g, PullOptions options = {});
@@ -56,11 +61,9 @@ class PullProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): a pull is a request/response
-  /// pair, so a down or asleep vertex cannot contact anyone (it would not
-  /// hear the response); one fault draw per contact decides the round
-  /// trip. Informed membership stays monotone.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
 
   const Graph* graph_;
   PullOptions options_;

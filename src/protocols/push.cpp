@@ -22,7 +22,7 @@ PushProcess::PushProcess(const Graph& g, PushOptions options)
     alias_ = &g.alias_tables();
   }
   informed_list_.reserve(g.num_vertices());
-  new_informed_.reserve(g.num_vertices());
+  new_informed_.resize(g.num_vertices());
 }
 
 void PushProcess::do_reset(std::span<const Vertex> starts) {
@@ -41,7 +41,6 @@ void PushProcess::do_reset(std::span<const Vertex> starts) {
   }
   std::fill(informed_.begin(), informed_.end(), char{0});
   informed_list_.clear();
-  new_informed_.clear();
   informed_[start] = 1;
   informed_list_.push_back(start);
   round_ = 0;
@@ -50,40 +49,57 @@ void PushProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PushProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
   }
+}
+
+template <typename Faults>
+void PushProcess::step_with(Rng& rng, Faults& faults) {
+  // The RNG, arrays and counters live in locals: a char store into the
+  // informed bitmap may alias anything, so members would be reloaded and
+  // written back around every draw.
   const Graph& g = *graph_;
-  const std::size_t senders = informed_list_.size();
-  new_informed_.clear();
-  for (std::size_t i = 0; i < senders; ++i) {
-    const Vertex v = informed_list_[i];
+  const GraphAliasTables* alias = alias_;
+  const Vertex* senders = informed_list_.data();
+  const std::size_t count = informed_list_.size();
+  char* informed = informed_.data();
+  Vertex* fresh = new_informed_.data();
+  std::size_t fresh_count = 0;
+  std::uint64_t sends = 0;
+  Rng local = rng;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Vertex v = senders[i];
+    if (!faults.can_send(v)) continue;  // down: no push this round
     const Vertex w =
-        alias_ != nullptr
-            ? alias_->draw(g, v, rng)
-            : g.neighbor(
-                  v, rng.next_below32(static_cast<std::uint32_t>(g.degree(v))));
-    if (!informed_[w]) {
-      informed_[w] = 1;
-      new_informed_.push_back(w);
+        alias != nullptr
+            ? alias->draw(g, v, local)
+            : g.neighbor(v, local.next_below32(
+                                static_cast<std::uint32_t>(g.degree(v))));
+    ++sends;
+    if (faults.transmit(v, 0, w) && !informed[w]) {
+      informed[w] = 1;
+      fresh[fresh_count++] = w;
     }
   }
-  merge_new_informed();
-  transmissions_ += senders;
-  peak_ = 1;
+  rng = local;
+  merge_new_informed(fresh_count);
+  transmissions_ += sends;
+  if (sends > 0) peak_ = 1;
   ++round_;
 }
 
-void PushProcess::merge_new_informed() {
-  if (new_informed_.empty()) return;
-  std::sort(new_informed_.begin(), new_informed_.end());
+void PushProcess::merge_new_informed(std::size_t fresh) {
+  if (fresh == 0) return;
+  std::sort(new_informed_.begin(), new_informed_.begin() + fresh);
   // Backward in-place merge of the round's sorted new informees into the
   // sorted sender list. All entries are distinct (the bitmap gates
-  // insertion), and both vectors are reserved to n, so this is
+  // insertion), and the list is reserved to n, so this is
   // allocation-free.
   std::size_t ai = informed_list_.size();
-  std::size_t bi = new_informed_.size();
+  std::size_t bi = fresh;
   informed_list_.resize(ai + bi);
   std::size_t oi = informed_list_.size();
   while (bi > 0) {
@@ -93,32 +109,6 @@ void PushProcess::merge_new_informed() {
       informed_list_[--oi] = new_informed_[--bi];
     }
   }
-}
-
-void PushProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t senders = informed_list_.size();
-  std::uint64_t sends = 0;
-  new_informed_.clear();
-  for (std::size_t i = 0; i < senders; ++i) {
-    const Vertex v = informed_list_[i];
-    if (!fs.can_send(v)) continue;  // down: no push this round
-    const Vertex w =
-        alias_ != nullptr
-            ? alias_->draw(g, v, rng)
-            : g.neighbor(
-                  v, rng.next_below32(static_cast<std::uint32_t>(g.degree(v))));
-    ++sends;
-    if (fs.transmit(v, 0, w) && !informed_[w]) {
-      informed_[w] = 1;
-      new_informed_.push_back(w);
-    }
-  }
-  merge_new_informed();
-  transmissions_ += sends;
-  if (sends > 0) peak_ = 1;
-  ++round_;
 }
 
 SpreadResult run_push(const Graph& g, Vertex start, PushOptions options,

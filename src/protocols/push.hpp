@@ -30,6 +30,11 @@ struct PushOptions {
 /// processed in ascending vertex order each round — the informed list is
 /// kept sorted, which is also what lets the batched engine's
 /// vertex-ordered bit-plane scan replay the exact same stream).
+///
+/// Under faults (core/faults.hpp) down senders skip the round (informed
+/// membership is monotone, so nothing needs freezing), lost or
+/// receiver-blocked pushes inform no one, and transmissions count the
+/// sends actually made.
 class PushProcess final : public Process {
  public:
   /// Requires a non-empty graph; reset() validates the start.
@@ -61,16 +66,14 @@ class PushProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): down senders skip the round
-  /// (informed membership is monotone, so nothing needs freezing), lost
-  /// or receiver-blocked pushes inform no one, and transmissions count
-  /// the sends actually made.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
 
-  /// Sorts the round's new informees and merges them into the (sorted)
-  /// informed list in place. Allocation-free: both vectors are reserved
-  /// to n.
-  void merge_new_informed();
+  /// Sorts the round's `fresh` new informees (the head of new_informed_)
+  /// and merges them into the (sorted) informed list in place.
+  /// Allocation-free: the list is reserved to n.
+  void merge_new_informed(std::size_t fresh);
 
   const Graph* graph_;
   PushOptions options_;
@@ -79,7 +82,8 @@ class PushProcess final : public Process {
   std::vector<char> informed_;
   /// Ascending informed vertices (the next round's senders, in order).
   std::vector<Vertex> informed_list_;
-  /// Scratch: vertices first informed this round, merged at round end.
+  /// Scratch of n entries: vertices first informed this round, merged at
+  /// round end.
   std::vector<Vertex> new_informed_;
   std::size_t round_ = 0;
   std::uint64_t transmissions_ = 0;

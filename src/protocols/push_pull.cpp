@@ -51,68 +51,50 @@ void PushPullProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PushPullProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
+  } else {
+    step_with(rng, kNoFaults);
   }
+}
+
+template <typename Faults>
+void PushPullProcess::step_with(Rng& rng, Faults& faults) {
+  // Locals for the RNG, arrays and counters (see PushProcess::step_with).
   const Graph& g = *graph_;
+  const GraphAliasTables* alias = alias_;
   const std::size_t n = g.num_vertices();
+  char* informed = informed_.data();
+  char* next = next_.data();
+  std::size_t contacts = 0;
+  Rng local = rng;
   // Synchronous semantics: all contacts are evaluated against the state
   // at the start of the round.
-  std::size_t contacts = 0;
   for (Vertex v = 0; v < n; ++v) {
     const auto degree = static_cast<std::uint32_t>(g.degree(v));
     if (degree == 0) continue;  // isolated: no one to contact
+    // An informed vertex pushes (it must be up); an uninformed one pulls,
+    // a request/response pair it must be up and awake to complete.
+    const bool push = informed[v] != 0;
+    if (push ? !faults.can_send(v) : !faults.can_receive(v)) continue;
     ++contacts;
-    const Vertex w = alias_ != nullptr
-                         ? alias_->draw(g, v, rng)
-                         : g.neighbor(v, rng.next_below32(degree));
-    if (informed_[v]) {
-      next_[w] = 1;  // push
-    } else if (informed_[w]) {
-      next_[v] = 1;  // pull
+    const Vertex w = alias != nullptr
+                         ? alias->draw(g, v, local)
+                         : g.neighbor(v, local.next_below32(degree));
+    if (!faults.transmit(v, 0, w)) continue;
+    if (push) {
+      next[w] = 1;
+    } else if (informed[w]) {
+      next[v] = 1;
     }
   }
-  count_ = 0;
+  rng = local;
+  std::size_t count = 0;
   for (Vertex v = 0; v < n; ++v) {
-    informed_[v] = next_[v];
-    count_ += static_cast<std::size_t>(next_[v]);
+    informed[v] = next[v];
+    count += static_cast<std::size_t>(next[v]);
   }
-  transmissions_ += contacts;
-  peak_ = 1;
-  ++round_;
-}
-
-void PushPullProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
-  std::size_t contacts = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    const auto degree = static_cast<std::uint32_t>(g.degree(v));
-    if (degree == 0) continue;
-    if (informed_[v]) {
-      if (!fs.can_send(v)) continue;  // down: no push
-      ++contacts;
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, v, rng)
-                           : g.neighbor(v, rng.next_below32(degree));
-      if (fs.transmit(v, 0, w)) next_[w] = 1;  // push delivered
-    } else {
-      // A pull is a request/response pair: v must be able to receive.
-      if (!fs.can_receive(v)) continue;
-      ++contacts;
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, v, rng)
-                           : g.neighbor(v, rng.next_below32(degree));
-      if (fs.transmit(v, 0, w) && informed_[w]) next_[v] = 1;  // pull
-    }
-  }
-  count_ = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    informed_[v] = next_[v];
-    count_ += static_cast<std::size_t>(next_[v]);
-  }
+  count_ = count;
   transmissions_ += contacts;
   if (contacts > 0) peak_ = 1;
   ++round_;

@@ -25,6 +25,11 @@ struct PushPullOptions {
 /// Steppable push-pull with a reusable workspace (see PushProcess). The
 /// RNG stream is draw-for-draw identical to the legacy run_push_pull
 /// (every positive-degree vertex contacts once, in ascending order).
+///
+/// Under faults (core/faults.hpp) a down vertex makes no contact; pushes
+/// inform on delivery, and pulls (request/response pairs) need the puller
+/// up and awake plus a delivered round trip. Informed membership stays
+/// monotone.
 class PushPullProcess final : public Process {
  public:
   explicit PushPullProcess(const Graph& g, PushPullOptions options = {});
@@ -52,11 +57,9 @@ class PushPullProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): a down vertex makes no contact;
-  /// pushes inform on delivery, and pulls (request/response pairs) need
-  /// the puller up and awake plus a delivered round trip. Informed
-  /// membership stays monotone.
-  void step_faulty(Rng& rng);
+  /// One round under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
 
   const Graph* graph_;
   PushPullOptions options_;

@@ -76,45 +76,34 @@ void WalkProcess::do_reset(std::span<const Vertex> starts) {
   position_ = start;
   steps_ = 0;
   visited_count_ = 1;
-  fault_tx_ = 0;
+  moves_ = 0;
 }
 
 void WalkProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
-  if (alias_ != nullptr) {
-    position_ = alias_->draw(*graph_, position_, rng);
+  if (FaultSession* fs = faults()) {
+    step_with(rng, *fs);
   } else {
-    const auto degree = static_cast<std::uint32_t>(graph_->degree(position_));
-    position_ = graph_->neighbor(position_, rng.next_below32(degree));
-  }
-  ++steps_;
-  if (first_visit_[position_] == kRoundNever) {
-    first_visit_[position_] = static_cast<Round>(steps_);
-    ++visited_count_;
+    step_with(rng, kNoFaults);
   }
 }
 
-void WalkProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
+template <typename Faults>
+void WalkProcess::step_with(Rng& rng, Faults& faults) {
   // The round elapses whether or not the token can move — an always-down
   // schedule must still exhaust the step budget, never loop forever.
   ++steps_;
-  if (!fs.can_send(position_)) return;  // down: token waits in place
+  const Vertex v = position_;
+  if (!faults.can_send(v)) return;  // down: token waits in place
   const Vertex w =
       alias_ != nullptr
-          ? alias_->draw(*graph_, position_, rng)
-          : graph_->neighbor(
-                position_,
-                rng.next_below32(
-                    static_cast<std::uint32_t>(graph_->degree(position_))));
-  ++fault_tx_;
-  if (!fs.transmit(position_, 0, w)) return;  // hop lost/blocked: stay put
+          ? alias_->draw(*graph_, v, rng)
+          : graph_->neighbor(v, rng.next_below32(static_cast<std::uint32_t>(
+                                    graph_->degree(v))));
+  ++moves_;
+  if (!faults.transmit(v, 0, w)) return;  // hop lost/blocked: stay put
   position_ = w;
-  if (first_visit_[position_] == kRoundNever) {
-    first_visit_[position_] = static_cast<Round>(steps_);
+  if (first_visit_[w] == kRoundNever) {
+    first_visit_[w] = static_cast<Round>(steps_);
     ++visited_count_;
   }
 }

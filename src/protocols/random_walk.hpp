@@ -61,6 +61,13 @@ struct RandomWalkOptions {
 /// draw-for-draw. The curve keeps the legacy visit-event semantics:
 /// curve[i] = step of the i-th distinct visit (bounded by n entries, not
 /// by the 2^28-step budget).
+///
+/// Under faults (core/faults.hpp) the step counter always advances (a
+/// round passes whether or not the token can move, so an always-down
+/// graph still exhausts the budget), but the token only attempts a move
+/// while its vertex is up, and only moves if the hop is delivered. A start
+/// vertex that is down at round 0 simply waits in place — the documented
+/// tolerate behaviour for walk-style processes.
 class WalkProcess final : public Process {
  public:
   explicit WalkProcess(const Graph& g, RandomWalkOptions options = {});
@@ -76,11 +83,9 @@ class WalkProcess final : public Process {
   bool completed() const override {
     return visited_count_ == graph_->num_vertices();
   }
-  /// Faults-off: one token move per step. Under faults, the moves the
-  /// token actually attempted (a round spent down sends nothing).
-  std::uint64_t total_transmissions() const override {
-    return fault_session() != nullptr ? fault_tx_ : steps_;
-  }
+  /// The moves the token attempted: one per step without faults (a round
+  /// spent down sends nothing).
+  std::uint64_t total_transmissions() const override { return moves_; }
   std::uint64_t peak_vertex_round_transmissions() const override { return 1; }
   std::size_t round_limit() const override { return options_.max_steps; }
 
@@ -96,13 +101,9 @@ class WalkProcess final : public Process {
   void append_curve_point() override;
 
  private:
-  /// Fault-aware step (core/faults.hpp): the step counter always advances
-  /// (a round passes whether or not the token can move, so an always-down
-  /// graph still exhausts the budget), but the token only attempts a move
-  /// while its vertex is up, and only moves if the hop is delivered. A
-  /// start vertex that is down at round 0 simply waits in place — the
-  /// documented tolerate behaviour for walk-style processes.
-  void step_faulty(Rng& rng);
+  /// One step under fault policy `faults` (FaultSession or NoFaults).
+  template <typename Faults>
+  void step_with(Rng& rng, Faults& faults);
 
   const Graph* graph_;
   RandomWalkOptions options_;
@@ -112,7 +113,7 @@ class WalkProcess final : public Process {
   Vertex position_ = 0;
   std::size_t steps_ = 0;
   std::size_t visited_count_ = 0;
-  std::uint64_t fault_tx_ = 0;  ///< hops attempted under faults
+  std::uint64_t moves_ = 0;  ///< hops attempted
 };
 
 /// Walks until every vertex is visited (or max_steps); SpreadResult.rounds
