@@ -20,7 +20,9 @@
 //      complete graph (whose every scan -> list rebuild stays wide);
 //  (d) observed cells: every RoundStats a RoundObserver sees and, under
 //      faults, the per-vertex tx/rx/listen counters after each trial —
-//      for every registry process, for weighted draws, for SIS with
+//      for every registry process (also with a lossless model attached,
+//      with every message lost, with drops on a duty-cycled channel and
+//      with periodic churn alone), for weighted draws, for SIS with
 //      fractional branching, and for the branching walk's saturated
 //      even-share split and flooding on a cycle.
 #include <cstdint>
@@ -55,7 +57,18 @@ std::string hex(std::uint64_t x) {
 
 // ---- (a) the registry ----
 
-enum class Faults { kOff, kDrop, kDuty, kChurn };
+/// kOff attaches no model; every other kind attaches one, kLossless with
+/// nothing set (drop = 0).
+enum class Faults {
+  kOff,
+  kDrop,
+  kDuty,
+  kChurn,
+  kLossless,
+  kDropAll,
+  kDropDuty,
+  kPeriodic
+};
 
 FaultOptions fault_options(Faults kind) {
   FaultOptions options;
@@ -71,6 +84,22 @@ FaultOptions fault_options(Faults kind) {
       break;
     case Faults::kChurn:
       options.churn = 0.1;
+      options.churn_period = 8;
+      options.churn_down = 1;
+      break;
+    case Faults::kLossless:
+      break;
+    case Faults::kDropAll:
+      options.drop = 1.0;
+      break;
+    case Faults::kDropDuty:
+      // Drops on a duty-cycled channel: a message to an asleep vertex can
+      // be dropped or blocked, and the drop is decided first.
+      options.drop = 0.2;
+      options.duty_period = 4;
+      options.duty_awake = 3;
+      break;
+    case Faults::kPeriodic:
       options.churn_period = 8;
       options.churn_down = 1;
       break;
@@ -574,6 +603,62 @@ TEST(GoldenDigest, EveryRegistryProcessRoundByRoundAndPerVertex) {
                   g.duty, std::string(g.name) + " duty");
     EXPECT_DIGEST(observed_digest(graphs, g.name, params, Faults::kChurn),
                   g.churn, std::string(g.name) + " churn");
+  }
+}
+
+/// The fault kinds a round's cost depends on: a model attached with
+/// nothing set, every message lost (under a short round budget, since
+/// nothing spreads), drops together with a duty cycle, and periodic churn
+/// alone.
+TEST(GoldenDigest, EveryRegistryProcessLosslessAllLostDropDutyAndPeriodic) {
+  struct Cell {
+    const char* name;
+    std::uint64_t lossless, drop_all, drop_duty, periodic;
+  };
+  const Cell golden[] = {
+      {"bips",
+       0x210c49801e90710aULL, 0x34a21394b6c20cddULL,
+       0x668e99cec0c01cd7ULL, 0x7855f862ac9b65abULL},
+      {"branching-walk",
+       0xce897d77b335ed0eULL, 0x859710171fb69385ULL,
+       0x17682d830110c2bbULL, 0x97568c1cca00c2c3ULL},
+      {"cobra",
+       0x1c195edd8f8d1f4dULL, 0xf54281cd20f99fedULL,
+       0xeb1f36b366fda8a6ULL, 0x9ed995a5561127e6ULL},
+      {"flood",
+       0x127773e4b2ef5d8cULL, 0xb98e6135f3a5b0fdULL,
+       0x5411d068cfecc48fULL, 0x65ffd71ee6726b08ULL},
+      {"pull",
+       0xb198e5813d539a5cULL, 0x68d0a7f6c4b7264dULL,
+       0xb88567c9ce3970f1ULL, 0x09822e779e76730eULL},
+      {"push",
+       0xe056b9f82bdfec44ULL, 0x4f328d389aa3ca35ULL,
+       0x2993fabca0b385b9ULL, 0xc050a16530cc6a1fULL},
+      {"push-pull",
+       0xa43f35c1f653943fULL, 0x4f522f31c161c995ULL,
+       0xc80b19e64211972eULL, 0xfca435991d2c9d9aULL},
+      {"sis",
+       0x6458a394a666400dULL, 0xfa7559e807e64e65ULL,
+       0x681cc1c20511e799ULL, 0xc9da5383c9aa95b4ULL},
+      {"walk",
+       0x60ab5015285297ecULL, 0xcde5d1cf89881865ULL,
+       0x272ec140a667f4b5ULL, 0x3ef011b0da61203fULL},
+  };
+  ASSERT_EQ(std::size(golden), process_names().size());
+  const std::vector<Graph> graphs = registry_graphs();
+  const ProcessParams params = {{"max_rounds", "2048"}};
+  const ProcessParams short_budget = {{"max_rounds", "24"}};
+  for (const Cell& c : golden) {
+    const std::string name = c.name;
+    EXPECT_DIGEST(observed_digest(graphs, name, params, Faults::kLossless),
+                  c.lossless, name + " lossless");
+    EXPECT_DIGEST(
+        observed_digest(graphs, name, short_budget, Faults::kDropAll),
+        c.drop_all, name + " drop 1");
+    EXPECT_DIGEST(observed_digest(graphs, name, params, Faults::kDropDuty),
+                  c.drop_duty, name + " drop 0.2 duty 3/4");
+    EXPECT_DIGEST(observed_digest(graphs, name, params, Faults::kPeriodic),
+                  c.periodic, name + " periodic churn 8/1");
   }
 }
 
