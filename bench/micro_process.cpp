@@ -301,9 +301,10 @@ BenchRow bench_process(const Graph& g, const std::string& name,
   row.name = label;
   row.trials = trials;
   row.stepped = bench_leg(g, name, params, seed, trials, /*stepped=*/true);
-  // A fault round costs O(n) in FaultSession::begin_round, so the faulty
-  // leg caps trials at 1024 rounds: a walker's O(n log n)-round cover
-  // would cost O(n^2 log n) there.
+  // The faulty leg sets only drop, whose rounds cost O(1) in
+  // FaultSession::begin_round. A churn or duty-cycle model sweeps all n
+  // vertices every round, so trials stay capped at 1024 rounds: under such
+  // a model a walker's O(n log n)-round cover would cost O(n^2 log n).
   ProcessParams faulty_params;
   for (const auto& param : params) {
     if (param.first != "max_rounds") faulty_params.push_back(param);

@@ -2,6 +2,7 @@
 #include "core/faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/param_reader.hpp"
@@ -10,11 +11,12 @@ namespace cobra {
 
 namespace {
 
+/// Range checks written as !(in range), so NaN fails them too.
 void validate(const FaultOptions& o) {
-  if (o.drop < 0.0 || o.drop > 1.0) {
+  if (!(o.drop >= 0.0 && o.drop <= 1.0)) {
     throw std::invalid_argument("faults: drop must be in [0, 1]");
   }
-  if (o.churn < 0.0 || o.churn > 1.0) {
+  if (!(o.churn >= 0.0 && o.churn <= 1.0)) {
     throw std::invalid_argument("faults: churn must be in [0, 1]");
   }
   if (o.churn_period > 0 && o.churn_down > o.churn_period) {
@@ -29,9 +31,16 @@ void validate(const FaultOptions& o) {
     throw std::invalid_argument(
         "faults: duty_cycle awake rounds must be <= the period");
   }
-  if (o.energy_tx < 0.0 || o.energy_rx < 0.0 || o.energy_idle < 0.0) {
-    throw std::invalid_argument("faults: energy costs must be >= 0");
+  for (const double cost : {o.energy_tx, o.energy_rx, o.energy_idle}) {
+    if (!(cost >= 0.0 && std::isfinite(cost))) {
+      throw std::invalid_argument(
+          "faults: energy costs must be finite and >= 0");
+    }
   }
+}
+
+bool has_schedule(const FaultOptions& o) {
+  return o.churn > 0.0 || o.churn_period > 0 || o.duty_period > 0;
 }
 
 }  // namespace
@@ -44,13 +53,23 @@ FaultModel::FaultModel(std::size_t num_vertices, FaultOptions options)
 FaultSession::FaultSession(const FaultModel& model)
     : model_(&model),
       options_(&model.options()),
-      up_(model.num_vertices(), 1),
-      awake_(model.num_vertices(), 1),
+      scheduled_(has_schedule(model.options())),
+      drop_threshold_(unit_threshold(model.options().drop)),
+      churn_threshold_(unit_threshold(model.options().churn)),
       tx_(model.num_vertices(), 0),
-      rx_(model.num_vertices(), 0),
-      listen_(model.num_vertices(), 0) {
-  if (options_->churn_period > 0) phase_churn_.assign(model.num_vertices(), 0);
-  if (options_->duty_period > 0) phase_duty_.assign(model.num_vertices(), 0);
+      rx_(model.num_vertices(), 0) {
+  const std::size_t n = model.num_vertices();
+  if (scheduled_) {
+    up_.assign(n, 1);
+    awake_.assign(n, 1);
+    listen_.assign(n, 0);
+  }
+  if (options_->churn_period > 0) phase_churn_.assign(n, 0);
+  if (options_->duty_period > 0) phase_duty_.assign(n, 0);
+}
+
+std::uint64_t FaultSession::unit_threshold(double p) noexcept {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 void FaultSession::begin_trial(std::uint64_t entropy) {
@@ -61,9 +80,7 @@ void FaultSession::begin_trial(std::uint64_t entropy) {
   std::fill(tx_.begin(), tx_.end(), std::uint64_t{0});
   std::fill(rx_.begin(), rx_.end(), std::uint64_t{0});
   std::fill(listen_.begin(), listen_.end(), std::uint64_t{0});
-  std::fill(up_.begin(), up_.end(), char{1});
-  std::fill(awake_.begin(), awake_.end(), char{1});
-  tx_total_ = delivered_ = dropped_ = blocked_ = listen_total_ = 0;
+  tx_total_ = delivered_ = dropped_ = blocked_ = listen_total_ = rounds_ = 0;
   // Per-vertex schedule phases: a fresh deterministic offset per trial so
   // periodic schedules are desynchronized across vertices (and trials).
   const std::size_t n = model_->num_vertices();
@@ -85,13 +102,18 @@ void FaultSession::begin_trial(std::uint64_t entropy) {
 
 void FaultSession::begin_round(std::size_t round) {
   drop_key_ = mix64(drop_base_, round);
+  ++rounds_;
+  const std::size_t n = model_->num_vertices();
+  if (!scheduled_) {
+    listen_total_ += n;  // every vertex is up and awake
+    return;
+  }
   const std::uint64_t churn_key = mix64(churn_base_, round);
   const FaultOptions& o = *options_;
-  const std::size_t n = model_->num_vertices();
   for (std::size_t v = 0; v < n; ++v) {
     bool is_up = true;
-    if (o.churn > 0.0) {
-      is_up = to_unit(mix64(churn_key, v)) >= o.churn;
+    if (churn_threshold_ != 0) {
+      is_up = (mix64(churn_key, v) >> 11) >= churn_threshold_;
     }
     if (is_up && o.churn_period > 0) {
       is_up = (round + phase_churn_[v]) % o.churn_period >= o.churn_down;
@@ -113,7 +135,7 @@ double FaultSession::vertex_energy(std::uint32_t v) const {
   const FaultOptions& o = *options_;
   return o.energy_tx * static_cast<double>(tx_[v]) +
          o.energy_rx * static_cast<double>(rx_[v]) +
-         o.energy_idle * static_cast<double>(listen_[v]);
+         o.energy_idle * static_cast<double>(listen(v));
 }
 
 double FaultSession::total_energy() const {
@@ -204,9 +226,15 @@ FaultOptions parse_fault_options(
   return options;
 }
 
-std::uint64_t fault_session_bytes(std::uint64_t num_vertices) {
-  // Three u64 counter arrays, two byte masks, two u32 phase arrays.
-  return num_vertices * (3 * 8 + 2 * 1 + 2 * 4);
+std::uint64_t fault_session_bytes(const FaultOptions& options,
+                                  std::uint64_t num_vertices) {
+  // The tx/rx counters; with a schedule, the listen counters and the two
+  // byte masks; a u32 phase array per periodic schedule.
+  std::uint64_t per_vertex = 2 * 8;
+  if (has_schedule(options)) per_vertex += 8 + 2 * 1;
+  if (options.churn_period > 0) per_vertex += 4;
+  if (options.duty_period > 0) per_vertex += 4;
+  return num_vertices * per_vertex;
 }
 
 }  // namespace cobra

@@ -75,7 +75,8 @@ struct FaultOptions {
 class FaultModel {
  public:
   /// Validates ranges (throws std::invalid_argument on drop/churn outside
-  /// [0,1], churn_down > churn_period, duty_awake > duty_period).
+  /// [0,1] or NaN, churn_down > churn_period, duty_awake > duty_period,
+  /// and a negative or non-finite energy cost).
   FaultModel(std::size_t num_vertices, FaultOptions options);
 
   const FaultOptions& options() const noexcept { return options_; }
@@ -102,10 +103,16 @@ struct NoFaults {
 };
 inline constexpr NoFaults kNoFaults{};
 
-/// Per-process fault state: the per-round up/awake masks, the keyed
-/// decision streams, and the per-vertex tx/rx/listen counters. Owned by a
-/// Process (one per workspace, allocated once at attach — the zero
-/// steady-state-allocation contract holds; per-trial work is O(n) fills).
+/// Per-process fault state: the keyed decision streams, the per-vertex
+/// tx/rx counters and, for a model with a per-vertex schedule (random
+/// churn, periodic churn or a duty cycle), the per-round up/awake masks
+/// and listen counters. Owned by a Process (one per workspace, allocated
+/// once at attach — the zero steady-state-allocation contract holds;
+/// per-trial work is O(n) fills).
+///
+/// A round pays only for the faults configured: without a schedule every
+/// vertex is up and awake, so begin_round is O(1) (listen(v) is the number
+/// of rounds begun) and can_send / can_receive / transmit read no masks.
 class FaultSession {
  public:
   /// Messages can be lost (see NoFaults).
@@ -113,36 +120,43 @@ class FaultSession {
 
   explicit FaultSession(const FaultModel& model);
 
+  /// ceil(p * 2^53) for p in [0, 1]: the number of 53-bit values x with
+  /// x * 2^-53 < p, so `(h >> 11) < unit_threshold(p)` makes exactly the
+  /// decision `(h >> 11) * 2^-53 < p` without converting to double.
+  static std::uint64_t unit_threshold(double p) noexcept;
+
   /// Starts a trial: derives the trial's decision streams from `entropy`
   /// (one draw of the trial RNG) mixed with FaultOptions::seed, zeroes
   /// all counters, and derives the per-vertex schedule phases.
   void begin_trial(std::uint64_t entropy);
 
   /// Starts round `round` (the process's round index *before* the step):
-  /// computes this round's up/awake masks and accrues one idle-listen
-  /// round for every up-and-awake vertex.
+  /// keys the round's drop stream and, for a scheduled model, computes the
+  /// up/awake masks; accrues one idle-listen round for every up-and-awake
+  /// vertex.
   void begin_round(std::size_t round);
 
-  bool up(std::uint32_t v) const noexcept { return up_[v] != 0; }
-  bool awake(std::uint32_t v) const noexcept { return awake_[v] != 0; }
   /// Down vertices neither send nor receive; asleep ones still send.
-  bool can_send(std::uint32_t v) const noexcept { return up_[v] != 0; }
+  bool can_send(std::uint32_t v) const noexcept {
+    return !scheduled_ || up_[v] != 0;
+  }
   bool can_receive(std::uint32_t v) const noexcept {
-    return up_[v] != 0 && awake_[v] != 0;
+    return !scheduled_ || (up_[v] != 0 && awake_[v] != 0);
   }
 
   /// Records one message from `from` (its `index`-th transmission this
-  /// round) to `to` and returns whether it was delivered. Precondition:
+  /// round) to `to` and returns whether it was delivered. The channel
+  /// decides first, then the receiver's state. Precondition:
   /// can_send(from) — callers skip down senders entirely.
   bool transmit(std::uint32_t from, std::uint32_t index, std::uint32_t to) {
     ++tx_[from];
     ++tx_total_;
-    if (options_->drop > 0.0 &&
-        to_unit(mix3(drop_key_, from, index)) < options_->drop) {
+    if (drop_threshold_ != 0 &&
+        (mix3(drop_key_, from, index) >> 11) < drop_threshold_) {
       ++dropped_;
       return false;
     }
-    if (up_[to] == 0 || awake_[to] == 0) {
+    if (!can_receive(to)) {
       ++blocked_;
       return false;
     }
@@ -177,7 +191,9 @@ class FaultSession {
   // ---- per-vertex counters ----
   std::uint64_t tx(std::uint32_t v) const { return tx_[v]; }
   std::uint64_t rx(std::uint32_t v) const { return rx_[v]; }
-  std::uint64_t listen(std::uint32_t v) const { return listen_[v]; }
+  std::uint64_t listen(std::uint32_t v) const {
+    return scheduled_ ? listen_[v] : rounds_;
+  }
 
   /// energy(v) = e_tx*tx(v) + e_rx*rx(v) + e_idle*listen(v).
   double vertex_energy(std::uint32_t v) const;
@@ -196,12 +212,14 @@ class FaultSession {
                             std::uint64_t b) noexcept {
     return mix64(mix64(key, a), b);
   }
-  static double to_unit(std::uint64_t h) noexcept {
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-  }
 
   const FaultModel* model_;
   const FaultOptions* options_;
+  /// Random churn, periodic churn or a duty cycle is configured: rounds
+  /// sweep the vertices, and the masks and listen counters below exist.
+  bool scheduled_;
+  std::uint64_t drop_threshold_;   ///< unit_threshold(drop)
+  std::uint64_t churn_threshold_;  ///< unit_threshold(churn)
   std::vector<char> up_;
   std::vector<char> awake_;
   std::vector<std::uint32_t> phase_churn_;
@@ -218,6 +236,7 @@ class FaultSession {
   std::uint64_t dropped_ = 0;
   std::uint64_t blocked_ = 0;
   std::uint64_t listen_total_ = 0;
+  std::uint64_t rounds_ = 0;  ///< rounds begun this trial
 };
 
 /// One accepted [faults] key plus its --list documentation (the scenario
@@ -239,6 +258,7 @@ FaultOptions parse_fault_options(
 
 /// Estimated resident bytes of one FaultSession (per process workspace):
 /// what scenario_runner --dry-run folds into per-job memory lines.
-std::uint64_t fault_session_bytes(std::uint64_t num_vertices);
+std::uint64_t fault_session_bytes(const FaultOptions& options,
+                                  std::uint64_t num_vertices);
 
 }  // namespace cobra

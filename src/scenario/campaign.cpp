@@ -220,11 +220,9 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
     }
   }
 
-  // [engine] selects how the trial loop executes. Like [telemetry] it is
-  // out of band: batching reschedules the trials but every per-trial
-  // result is bitwise-identical to the scalar path (sim/batched.hpp's
-  // seed-compatibility contract, enforced in tests/batched_test.cpp), so
-  // its keys never sweep and never enter the fingerprint.
+  // [engine] batch is validated and otherwise ignored: campaigns run every
+  // trial on the scalar round. Like [telemetry] it never sweeps and never
+  // enters the fingerprint, so older specs and journals keep working.
   if (const SpecSection* engine = spec.section("engine")) {
     for (const auto& entry : engine->entries) {
       const std::string where =

@@ -63,11 +63,10 @@ struct CampaignPlan {
   /// Parsed [telemetry] section (scenario_runner's --trace/--progress/
   /// --status/--rounds flags override it after planning).
   TelemetryConfig telemetry;
-  /// [engine] batch width for the trial loop (1 = scalar). Like telemetry
-  /// this is deliberately fingerprint-neutral: the batched engine's
-  /// per-trial results are bitwise-identical to the scalar path (the
-  /// sim/batched.hpp contract), so journals written at any batch resume
-  /// under any other and the sinks stay byte-identical.
+  /// [engine] batch, validated (1..kMaxBatch) and otherwise unused: every
+  /// trial runs on the scalar round whatever its value. It stays accepted
+  /// and, like telemetry, fingerprint-neutral, so older specs still plan
+  /// and journals written at any batch resume under any other.
   std::size_t batch = 1;
 };
 

@@ -10,7 +10,6 @@
 #include "core/faults.hpp"
 #include "obs/rounds.hpp"
 #include "obs/trace.hpp"
-#include "sim/batched.hpp"
 #include "sim/sweep.hpp"
 #include "stats/quantile.hpp"
 #include "util/stopwatch.hpp"
@@ -48,7 +47,6 @@ struct Job {
   std::unique_ptr<FaultModel> faults;  ///< null without [faults]
   std::vector<Vertex> starts;
   std::uint64_t seed = 0;
-  std::size_t unit = 1;      ///< trials per claim
   std::size_t recorded = 0;  ///< [0, recorded) run by the opener, observed
   std::atomic<std::size_t> cursor{0};    ///< first unclaimed trial
   std::atomic<std::size_t> finished{0};  ///< trials with a record
@@ -62,21 +60,14 @@ struct Job {
   }
 };
 
-/// One participant's scratch for one job: its own Process (with the job's
-/// fault model attached) and, for a batched job, its own engine.
+/// One participant's scratch for one job: its own Process, with the job's
+/// fault model attached.
 struct Workspace {
   std::unique_ptr<Process> process;
-  std::unique_ptr<BatchedEngine> engine;
-  std::vector<SpreadResult> block;
 
-  Workspace(const CampaignPlan& plan, const Job& job,
-            std::unique_ptr<Process> process_in)
+  Workspace(const Job& job, std::unique_ptr<Process> process_in)
       : process(std::move(process_in)) {
     if (job.faults != nullptr) process->set_fault_model(job.faults.get());
-    // The factory returns nullptr for a fault model or a process without a
-    // batched engine; such jobs run scalar, claiming one trial at a time.
-    if (plan.batch >= 2) engine = make_batched_engine(*process, plan.batch);
-    if (engine != nullptr) block.resize(plan.batch);
   }
 
   TrialRecord run_one(const Job& job, std::size_t t) {
@@ -84,31 +75,14 @@ struct Workspace {
                                   job.starts[t % job.starts.size()]));
   }
 
-  /// Claims the job's next unit, [first, first + count), and runs it into
-  /// job.records; returns count, 0 once every trial is claimed. Batched
-  /// per-trial results are bitwise-identical to scalar ones
-  /// (sim/batched.hpp).
-  std::size_t run_next(Job& job, const JobRunner::Hooks& hooks,
-                       std::size_t& first) {
-    first = job.cursor.fetch_add(job.unit, std::memory_order_relaxed);
-    if (first >= job.trials()) return 0;
-    const std::size_t count = std::min(job.unit, job.trials() - first);
-    if (hooks.before_trial) {
-      for (std::size_t t = first; t < first + count; ++t) {
-        hooks.before_trial(*job.spec, t);
-      }
-    }
-    if (engine == nullptr) {
-      for (std::size_t t = first; t < first + count; ++t) {
-        job.records[t] = run_one(job, t);
-      }
-      return count;
-    }
-    engine->run_block(job.seed, first, count, job.starts, block.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      job.records[first + i] = record_of(block[i]);
-    }
-    return count;
+  /// Claims the job's next trial, t, and runs it into job.records; returns
+  /// false once every trial is claimed.
+  bool run_next(Job& job, const JobRunner::Hooks& hooks, std::size_t& t) {
+    t = job.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (t >= job.trials()) return false;
+    if (hooks.before_trial) hooks.before_trial(*job.spec, t);
+    job.records[t] = run_one(job, t);
+    return true;
   }
 };
 
@@ -132,8 +106,7 @@ std::shared_ptr<Job> open_job(const CampaignPlan& plan, const JobSpec& spec,
   job->records.resize(plan.trials);
   job->recorded = std::min(recorded, plan.trials);
   job->cursor.store(job->recorded, std::memory_order_relaxed);
-  workspace = std::make_unique<Workspace>(plan, *job, std::move(process));
-  job->unit = workspace->engine != nullptr ? plan.batch : 1;
+  workspace = std::make_unique<Workspace>(*job, std::move(process));
   return job;
 }
 
@@ -353,7 +326,7 @@ class Run {
     std::unique_ptr<Workspace> workspace;
     try {
       workspace = std::make_unique<Workspace>(
-          plan_, *job, scenario::make_process(*job->graph, job->spec->process));
+          *job, scenario::make_process(*job->graph, job->spec->process));
     } catch (const std::exception& e) {
       fail(*job->spec, e.what());
       return;
@@ -361,8 +334,8 @@ class Run {
     work(job, *workspace, /*opener=*/false);
   }
 
-  /// Claims and runs units of `job` until none is left; the participant
-  /// whose unit completes the job aggregates and reports it.
+  /// Claims and runs trials of `job` until none is left; the participant
+  /// whose trial completes the job aggregates and reports it.
   void work(const std::shared_ptr<Job>& job, Workspace& workspace,
             bool opener) {
     obs::TraceSpan span(trace_, "trials");
@@ -371,11 +344,10 @@ class Run {
         run_recorded(*job, workspace);
         account(job, 0, job->recorded);
       }
-      std::size_t first = 0;
-      while (!failed_.load(std::memory_order_relaxed)) {
-        const std::size_t count = workspace.run_next(*job, hooks_, first);
-        if (count == 0) return;
-        account(job, first, count);
+      std::size_t t = 0;
+      while (!failed_.load(std::memory_order_relaxed) &&
+             workspace.run_next(*job, hooks_, t)) {
+        account(job, t, 1);
       }
     } catch (const std::exception& e) {
       fail(*job->spec, e.what());
@@ -492,8 +464,8 @@ JobResult execute_campaign_job(const CampaignPlan& plan, const JobSpec& job,
   const auto started = open_job(
       plan, job, std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g),
       0, workspace);
-  std::size_t first = 0;
-  while (workspace->run_next(*started, {}, first) > 0) {
+  std::size_t t = 0;
+  while (workspace->run_next(*started, {}, t)) {
   }
   return aggregate(*started);
 }

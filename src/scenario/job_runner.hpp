@@ -7,16 +7,15 @@
 //
 // Scheduling. Each participant starts the next unstarted job in list order:
 // it acquires the job's graph from the GraphCache, builds its workspace
-// (the Process, with the job's fault model attached, and a BatchedEngine
-// when the job is batched) and publishes the job. Trials are claimed
-// through the job's atomic cursor, one fetch_add per claim of `plan.batch`
-// trials when the job runs on the batched engine and of one trial
-// otherwise. Once every job has been started, a participant with nothing
-// to start opens a workspace of its own on the in-flight job with the most
-// unclaimed trials and helps it, so a campaign's last large jobs do not
-// finish on one core while the others idle: the tail is bounded by one
-// claim unit. The scheduler mutex is taken only to start, pick or retire a
-// job, never per claim.
+// (the Process, with the job's fault model attached) and publishes the
+// job. Trials are claimed one at a time through the job's atomic cursor,
+// one fetch_add per trial. Once every job has been started, a participant
+// with nothing to start opens a workspace of its own on the in-flight job
+// with the most unclaimed trials and helps it, so a campaign's last large
+// jobs do not finish on one core while the others idle: the tail is
+// bounded by one trial. The scheduler mutex is taken only to start, pick
+// or retire a job, never per claim. `[engine] batch` is accepted and
+// ignored: every trial runs on the scalar round.
 //
 // Determinism. Trial t of job j draws from Rng::for_trial(job seed, t)
 // whichever participant runs it. Finished trials are kept as compact

@@ -468,28 +468,4 @@ std::unique_ptr<BatchedEngine> make_batched_engine(const Process& prototype,
   return nullptr;
 }
 
-std::uint64_t batched_workspace_estimate(std::string_view process_name,
-                                         std::uint64_t n, std::size_t batch) {
-  if (batch < 2 || batch > kMaxBatch) return 0;
-  const std::uint64_t plane = n * 8;  // one uint64 bit-plane word per vertex
-  const std::uint64_t list = n * 4;   // one Vertex per entry
-  if (process_name == "cobra") {
-    // cur/next/visited planes + two ascending union lists.
-    return 3 * plane + 2 * list;
-  }
-  if (process_name == "bips") {
-    // source/infected/next planes + candidate marks (u64) + lane-major
-    // infected-neighbour counts (u32) and candidate lists (u32).
-    return 3 * plane + plane + 2 * static_cast<std::uint64_t>(batch) * n * 4 +
-           4 * list;
-  }
-  if (process_name == "push") {
-    return 2 * plane + 2 * list;  // informed/fresh planes + union lists
-  }
-  if (process_name == "pull" || process_name == "push-pull") {
-    return 2 * plane;  // two bit-planes, no lists
-  }
-  return 0;  // no batched variant: scalar fallback
-}
-
 }  // namespace cobra

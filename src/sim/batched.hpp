@@ -18,9 +18,12 @@
 // supported process traverses its per-trial active set in ascending
 // vertex order in both engines. Batched per-trial SpreadResults are
 // therefore bitwise-identical to the scalar Process path (enforced by
-// tests/batched_test.cpp for every supported process), which is what
-// makes the campaign `[engine] batch=` key fingerprint-neutral: journals
-// and sinks interoperate byte-for-byte whatever the batch size.
+// tests/batched_test.cpp for every supported process).
+//
+// Campaigns do not run this engine: JobRunner runs every trial on the
+// scalar round, which is as fast or faster end to end, and accepts
+// `[engine] batch` as a no-op. perfbench's probes, micro_engine and
+// micro_process still time it.
 //
 // Supported processes: cobra, bips, push, pull, push-pull — weighted and
 // fractional-branching variants included. Unsupported combinations
@@ -33,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "core/process.hpp"
 #include "core/process_common.hpp"
@@ -84,13 +86,5 @@ class BatchedEngine {
 /// back to the scalar path on nullptr.
 std::unique_ptr<BatchedEngine> make_batched_engine(const Process& prototype,
                                                    std::size_t batch);
-
-/// Pure workspace-size estimate for `scenario_runner --dry-run`: bytes
-/// the batched engine for registry process `process_name` would allocate
-/// on an n-vertex graph with the given batch. Returns 0 for processes
-/// with no batched variant (the scalar fallback allocates the ordinary
-/// per-process workspace instead).
-std::uint64_t batched_workspace_estimate(std::string_view process_name,
-                                         std::uint64_t n, std::size_t batch);
 
 }  // namespace cobra

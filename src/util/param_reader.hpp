@@ -11,6 +11,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -133,6 +134,12 @@ class ParamReader {
     if (text.empty() || used != text.size()) {
       throw Error(context_ + ": parameter '" + std::string(key) +
                   "' expects a number, got '" + text + "'");
+    }
+    // std::stod accepts "nan" and "inf"; no parameter means either, and a
+    // NaN would slip through every range check written with < and >.
+    if (!std::isfinite(value)) {
+      throw Error(context_ + ": parameter '" + std::string(key) +
+                  "' expects a finite number, got '" + text + "'");
     }
     return value;
   }

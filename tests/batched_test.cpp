@@ -263,19 +263,6 @@ TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
   EXPECT_EQ(make_batched_engine(faulty, 8), nullptr);
 }
 
-TEST(BatchedFactory, WorkspaceEstimateMatchesSupport) {
-  EXPECT_GT(batched_workspace_estimate("cobra", 1024, 8), 0u);
-  EXPECT_GT(batched_workspace_estimate("bips", 1024, 8), 0u);
-  EXPECT_GT(batched_workspace_estimate("push", 1024, 8), 0u);
-  EXPECT_GT(batched_workspace_estimate("pull", 1024, 8), 0u);
-  EXPECT_GT(batched_workspace_estimate("push-pull", 1024, 8), 0u);
-  EXPECT_EQ(batched_workspace_estimate("flood", 1024, 8), 0u);
-  EXPECT_EQ(batched_workspace_estimate("cobra", 1024, 1), 0u);
-  // BIPS lane-major slices dominate: the estimate must scale with batch.
-  EXPECT_GT(batched_workspace_estimate("bips", 1024, 64),
-            batched_workspace_estimate("bips", 1024, 2));
-}
-
 TEST(BatchedEngineApi, ReportsWorkspaceBytes) {
   Rng rng(41);
   const Graph g = gen::connected_random_regular(256, 6, rng);

@@ -11,13 +11,15 @@
 //  (d) campaign-level determinism: a faulty campaign's results are
 //      identical at 1/2/8 worker threads, and a killed-and-resumed faulty
 //      campaign reproduces the uninterrupted sinks byte-for-byte,
-//  (e) [faults] spec validation (unknown keys, malformed values, swept
-//      process names) and the journal payload round-trip.
+//  (e) [faults] spec validation (unknown keys, malformed and non-finite
+//      values, swept process names), the integer drop threshold and the
+//      journal payload round-trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -304,6 +306,32 @@ TEST(FaultsSpec, RejectsUnknownKeysAndMalformedValues) {
             "s.scenario"));
       },
       "[faults]");
+  // std::stod parses these; a NaN would pass every range check written
+  // with < and >, and would reach the JSONL sink as a bare `nan`.
+  const std::pair<std::string, std::string> non_finite[] = {
+      {"drop", "nan"},        {"drop", "inf"},     {"churn", "-nan"},
+      {"energy_idle", "nan"}, {"energy_tx", "inf"}, {"energy_rx", "-infinity"}};
+  for (const auto& [key, value] : non_finite) {
+    expect_spec_error(
+        [&] {
+          scenario::plan_campaign(scenario::ScenarioSpec::parse_string(
+              "[graph]\nfamily = cycle\nn = 32\n[process]\nname = cobra\n"
+              "[faults]\n" + key + " = " + value + "\n",
+              "s.scenario"));
+        },
+        "parameter '" + key + "' expects a finite number, got '" + value +
+            "'");
+  }
+  // FaultOptions built in code skip the parser; the model still rejects a
+  // NaN probability and a non-finite energy cost.
+  FaultOptions bad[4];
+  bad[0].drop = std::nan("");
+  bad[1].churn = std::nan("");
+  bad[2].energy_idle = std::nan("");
+  bad[3].energy_tx = std::numeric_limits<double>::infinity();
+  for (const FaultOptions& options : bad) {
+    EXPECT_THROW(FaultModel(8, options), std::invalid_argument);
+  }
   expect_spec_error(
       [] {
         scenario::plan_campaign(scenario::ScenarioSpec::parse_string(
@@ -328,6 +356,35 @@ TEST(FaultsSpec, EveryFaultKeyIsAccepted) {
     EXPECT_TRUE(fault_has_param(param.key)) << param.key;
   }
   EXPECT_FALSE(fault_has_param("nope"));
+}
+
+TEST(Faults, IntegerDropThresholdDecidesExactlyAsTheUnitDouble) {
+  // The channel drops a message when (h >> 11) < unit_threshold(drop);
+  // the reference decision is the 53-bit unit double against drop.
+  const auto unit_drop = [](std::uint64_t h, double drop) {
+    return static_cast<double>(h >> 11) * 0x1.0p-53 < drop;
+  };
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const double drop :
+       {0x1.0p-53, 0.2, 0.3, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+    const std::uint64_t threshold = FaultSession::unit_threshold(drop);
+    ASSERT_LE(threshold, kTop) << drop;
+    // At, just below and just above the threshold, with the 11 low bits
+    // that the decision ignores both clear and set.
+    for (const std::uint64_t x :
+         {threshold - 1, threshold, threshold + 1, std::uint64_t{0},
+          kTop - 1}) {
+      if (x >= kTop) continue;
+      for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+        const std::uint64_t h = x << 11 | low;
+        EXPECT_EQ((h >> 11) < threshold, unit_drop(h, drop))
+            << "drop " << drop << ", x " << x;
+      }
+    }
+  }
+  EXPECT_EQ(FaultSession::unit_threshold(0.0), 0u);
+  EXPECT_EQ(FaultSession::unit_threshold(0x1.0p-53), 1u);
+  EXPECT_EQ(FaultSession::unit_threshold(1.0), kTop);
 }
 
 TEST(FaultsJournal, PayloadRoundTripsAndLegacyParses) {

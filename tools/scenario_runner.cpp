@@ -95,11 +95,10 @@ void print_registries() {
   std::printf(
       "\nengine (accepted [engine] keys; fingerprint-neutral, never "
       "sweeps):\n"
-      "  %-24s lockstep trial lanes, 1..%zu (1 = scalar). cobra, bips,\n"
-      "  %-24s push, pull and push-pull batch; faulted jobs and other\n"
-      "  %-24s processes fall back to scalar. Per-trial results are\n"
-      "  %-24s bitwise-identical either way (--batch N overrides).\n",
-      "batch", cobra::kMaxBatch, "", "", "");
+      "  %-24s 1..%zu, accepted and ignored (as is --batch N): every\n"
+      "  %-24s trial runs on the scalar round. Kept so that older specs\n"
+      "  %-24s and journals still plan and resume.\n",
+      "batch", cobra::kMaxBatch, "", "");
 }
 
 /// Splits "host:port"; returns false on a malformed value.
@@ -135,9 +134,10 @@ int main(int argc, char** argv) {
   const std::int64_t threads = flags.get_int("threads", -1);
   const std::int64_t trials = flags.get_int("trials", -1);
   const std::int64_t max_jobs = flags.get_int("max-jobs", 0);
-  // --batch N rewrites [engine] batch before planning. The key is
-  // fingerprint-neutral (batched trials are bitwise-identical to scalar),
-  // so this neither invalidates journals nor changes any output byte.
+  // --batch N rewrites [engine] batch before planning, where it is
+  // validated and then ignored: the key is fingerprint-neutral and every
+  // trial runs scalar, so it neither invalidates journals nor changes any
+  // output byte.
   const std::int64_t batch = flags.get_int("batch", -1);
   // --base-seed, with the spec-style --base_seed spelling accepted too.
   const std::int64_t base_seed =
@@ -189,10 +189,9 @@ int main(int argc, char** argv) {
         "--trace [path] writes a Chrome trace (load in Perfetto); --rounds\n"
         "[path] samples per-round process telemetry to JSONL. Values are\n"
         "consumed greedily, so put the spec path before bare toggles.\n\n"
-        "Batched engine: --batch N (or an [engine] batch = N section) runs\n"
-        "supported processes N trials at a time in lockstep over bit-plane\n"
-        "state. Per-trial results are bitwise-identical to the scalar\n"
-        "engine, so outputs and journals are byte-for-byte unchanged.\n\n"
+        "--batch N (or an [engine] batch = N section) is accepted for older\n"
+        "specs and ignored: campaigns run every trial on the scalar round,\n"
+        "and outputs and journals are byte-for-byte the same at any N.\n\n"
         "Distributed campaigns: --serve [PORT] makes this process the\n"
         "coordinator (add --port-file PATH to publish a kernel-assigned\n"
         "port); `scenario_runner --connect HOST:PORT` or the dedicated\n"
@@ -287,11 +286,9 @@ int main(int argc, char** argv) {
       TelemetryConfig telemetry = plan.telemetry;
       telemetry.resolve_paths(!output.empty() ? output : plan.output);
       std::printf("campaign '%s': %zu jobs x %zu trials, base_seed=%llu, "
-                  "engine batch=%zu%s, output stem '%s', telemetry sinks: "
-                  "%s\n",
+                  "output stem '%s', telemetry sinks: %s\n",
                   plan.name.c_str(), plan.jobs.size(), plan.trials,
                   static_cast<unsigned long long>(plan.base_seed),
-                  plan.batch, plan.batch < 2 ? " (scalar)" : "",
                   plan.output.c_str(),
                   telemetry.sinks_description().c_str());
       // Per-job estimated peak graph memory (n, 2m, offset width, weight
@@ -315,7 +312,9 @@ int main(int argc, char** argv) {
         // fold one session into the job's memory line so fault campaigns
         // sanity-check like weighted ones do.
         const std::uint64_t fault_bytes =
-            job.faults.empty() ? 0 : fault_session_bytes(est.n);
+            job.faults.empty()
+                ? 0
+                : fault_session_bytes(parse_fault_options(job.faults), est.n);
         // Telemetry buffers (metrics shards, trace reserve, rounds
         // recorder) scale with threads and the job's round budget, not
         // with the graph — but they are resident alongside it.
@@ -328,14 +327,6 @@ int main(int argc, char** argv) {
         }
         const std::uint64_t telemetry_bytes =
             telemetry_buffer_bytes(telemetry, plan.threads, round_limit);
-        // Batched lockstep workspace (bit-planes, lane counters, lane-major
-        // cnt slices for BIPS); 0 when the job runs scalar — batch < 2,
-        // process without a batched engine, or a [faults] section.
-        const std::string* process_name = find_param(job.process, "name");
-        const std::uint64_t batched_bytes =
-            (plan.batch >= 2 && job.faults.empty() && process_name != nullptr)
-                ? batched_workspace_estimate(*process_name, est.n, plan.batch)
-                : 0;
         std::printf("  job %zu seed=%llu graph{%s} process{%s}", job.index,
                     static_cast<unsigned long long>(job.seed_index),
                     canonical_params(job.graph).c_str(),
@@ -348,8 +339,7 @@ int main(int argc, char** argv) {
           // arrays do — report them separately and rank the peak by the
           // resident portion.
           const std::uint64_t total = est.resident_bytes() + alias_bytes +
-                                      fault_bytes + telemetry_bytes +
-                                      batched_bytes;
+                                      fault_bytes + telemetry_bytes;
           std::printf(" mem~%s resident", human_bytes(total).c_str());
           if (est.mapped_bytes > 0) {
             std::printf(" + %s mapped", human_bytes(est.mapped_bytes).c_str());
@@ -371,14 +361,6 @@ int main(int argc, char** argv) {
           if (telemetry_bytes > 0) {
             std::printf(", telemetry +%s",
                         human_bytes(telemetry_bytes).c_str());
-          }
-          if (plan.batch >= 2) {
-            if (batched_bytes > 0) {
-              std::printf(", batched[%zu] +%s", plan.batch,
-                          human_bytes(batched_bytes).c_str());
-            } else {
-              std::printf(", batched: scalar fallback");
-            }
           }
           std::printf(")\n");
           if (total > peak_total) {
