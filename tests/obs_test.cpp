@@ -483,6 +483,23 @@ TEST(CampaignTelemetry, UnknownTelemetryKeyRejected) {
   }
 }
 
+TEST(CampaignTelemetry, NonFiniteProgressIntervalRejected) {
+  using namespace scenario;
+  for (const char* value : {"nan", "inf", "-nan"}) {
+    std::string spec(kTelemetrySpec);
+    spec.replace(spec.find("progress = 0.05"), 15,
+                 std::string("progress = ") + value);
+    try {
+      plan_campaign(ScenarioSpec::parse_string(spec));
+      FAIL() << "expected SpecError for progress = " << value;
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("progress expects"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CampaignTelemetry, ResultSinksByteIdenticalAcrossTelemetryAndThreads) {
   using namespace scenario;
   const std::string dir = test_temp_dir();
