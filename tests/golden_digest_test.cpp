@@ -24,9 +24,16 @@
 //      with every message lost, with drops on a duty-cycled channel and
 //      with periodic churn alone), for weighted draws, for SIS with
 //      fractional branching, and for the branching walk's saturated
-//      even-share split and flooding on a cycle.
+//      even-share split and flooding on a cycle;
+//  (e) graph cells: the .cgr bytes of every registry family, of instances
+//      past the builder's parallel threshold, of lattices, of an
+//      exp-weighted torus (v2) and of a 4-shard file (v3), each built at
+//      substrate threads 1, 4 and 8.
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,9 +44,12 @@
 #include "core/faults.hpp"
 #include "core/process.hpp"
 #include "core/process_factory.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/weights.hpp"
 #include "protocols/branching_walk.hpp"
+#include "scenario/registry.hpp"
 #include "test_support.hpp"
 
 namespace cobra {
@@ -719,6 +729,139 @@ TEST(GoldenDigest, BranchingWalkEvenShareSplitAndFloodOnACycle) {
     EXPECT_DIGEST(observed_digest(graphs, "flood", {}, c.kind), c.flood,
                   std::string("cycle flood ") + c.what);
   }
+}
+
+// ---- (e) graph cells ----
+
+/// FNV-1a of the file write_cgr makes of `g`.
+std::uint64_t cgr_digest(const Graph& g, const CgrWriteOptions& options) {
+  const std::string path = test_temp_dir() + "digest.cgr";
+  write_cgr(g, path, options);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  Fnv1a hash;
+  hash.add_bytes(bytes);
+  return hash.value();
+}
+
+struct GraphCell {
+  scenario::ParamMap params;
+  std::uint64_t digest;
+};
+
+/// Builds every cell through the registry from one fixed seed at
+/// substrate threads 1, 4 and 8; the .cgr bytes must agree across thread
+/// counts and match the recorded digest.
+void expect_graph_digests(const std::vector<GraphCell>& cells,
+                          const CgrWriteOptions& options = {}) {
+  struct ThreadReset {
+    ~ThreadReset() { GraphBuilder::set_default_threads(0); }
+  } reset;
+  for (const GraphCell& cell : cells) {
+    const std::string what = scenario::canonical_params(cell.params);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      GraphBuilder::set_default_threads(threads);
+      Rng rng(4242);
+      const Graph g = scenario::build_graph(cell.params, rng);
+      EXPECT_DIGEST(cgr_digest(g, options), cell.digest,
+                    what + " at " + std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(GoldenDigest, CgrBytesOfEveryRegistryFamily) {
+  const std::vector<GraphCell> cells = {
+      {{{"family", "barabasi_albert"}, {"n", "300"}, {"attach", "3"}},
+       0x869e67cee09b5a85ULL},
+      {{{"family", "barbell"}, {"clique", "6"}, {"bridge", "3"}},
+       0xbae22c0e036816b6ULL},
+      {{{"family", "binary_tree"}, {"levels", "6"}}, 0x43a41ccd191ea7baULL},
+      {{{"family", "circulant"}, {"n", "64"}, {"offsets", "1x5x12"}},
+       0xeec7ae1cb946dcfcULL},
+      {{{"family", "complete"}, {"n", "20"}}, 0x0e7bc8ceaac7d878ULL},
+      {{{"family", "complete_bipartite"}, {"a", "5"}, {"b", "7"}},
+       0xf29be0a8b7d9ed78ULL},
+      {{{"family", "connected_random_regular"}, {"n", "128"}, {"r", "5"}},
+       0xf6a0afd7cd816090ULL},
+      {{{"family", "cycle"}, {"n", "50"}}, 0xe5d78d77af0b78f7ULL},
+      {{{"family", "erdos_renyi"}, {"n", "500"}, {"p", "0.02"}},
+       0xf19c4aa749b8ad39ULL},
+      {{{"family", "generalized_petersen"}, {"n", "10"}, {"k", "3"}},
+       0xc4ac7cebcc66eafeULL},
+      {{{"family", "grid"}, {"dims", "5x4x3"}, {"periodic", "0"}},
+       0xa3488d714233a7d4ULL},
+      {{{"family", "hypercube"}, {"d", "7"}}, 0x0950ce81394cf150ULL},
+      {{{"family", "kneser"}, {"n_set", "7"}, {"k_subset", "2"}},
+       0xe2068b9640dc225aULL},
+      {{{"family", "lollipop"}, {"clique", "8"}, {"path", "12"}},
+       0xbea1626abb11274cULL},
+      {{{"family", "margulis"}, {"m", "16"}}, 0x2275e4289978559cULL},
+      {{{"family", "paley"}, {"q", "61"}}, 0xd93e1d4c4c162366ULL},
+      {{{"family", "path"}, {"n", "40"}}, 0xc428cd559391c78eULL},
+      {{{"family", "petersen"}}, 0xb4c81e4ca7bb9e4fULL},
+      {{{"family", "random_geometric"}, {"n", "400"}, {"radius", "0.08"}},
+       0x5cbcfb426ed9a906ULL},
+      {{{"family", "random_regular"}, {"n", "256"}, {"r", "8"}},
+       0xeb775ba187f07ae1ULL},
+      {{{"family", "star"}, {"n", "30"}}, 0x26230f5a0e45162aULL},
+      {{{"family", "torus"}, {"dims", "8x6x5"}}, 0x0f891d7826c48945ULL},
+      {{{"family", "watts_strogatz"}, {"n", "200"}, {"k", "6"},
+        {"beta", "0.2"}},
+       0xd222749a9dfa85a5ULL},
+  };
+  expect_graph_digests(cells);
+  // A family added to the registry needs a cell here; family = file reads
+  // what another family wrote.
+  std::set<std::string> covered;
+  for (const GraphCell& cell : cells) {
+    covered.insert(*scenario::find_param(cell.params, "family"));
+  }
+  for (const std::string& family : scenario::graph_families()) {
+    if (family != "file") EXPECT_TRUE(covered.count(family)) << family;
+  }
+}
+
+TEST(GoldenDigest, CgrBytesPastTheParallelAssemblyThreshold) {
+  expect_graph_digests({
+      {{{"family", "torus"}, {"dims", "256x256"}}, 0xe151ba8fd4897ef1ULL},
+      {{{"family", "grid"}, {"dims", "200x300"}}, 0xd60fd60cfe6bd516ULL},
+      {{{"family", "hypercube"}, {"d", "13"}}, 0xa2c8a55ce5a6f8cbULL},
+      {{{"family", "erdos_renyi"}, {"n", "16384"}, {"p", "0.00048828125"}},
+       0xa7d555d8a2adf115ULL},
+  });
+}
+
+TEST(GoldenDigest, CgrBytesOfLattices) {
+  expect_graph_digests({
+      {{{"family", "torus"}, {"dims", "9x9"}}, 0xddf147dcf614959aULL},
+      {{{"family", "torus"}, {"dims", "33x33"}}, 0xb211e08c65b7948cULL},
+      {{{"family", "torus"}, {"dims", "64x64"}}, 0xf2bfe42d4e54e5faULL},
+      {{{"family", "grid"}, {"dims", "9x7"}}, 0x7dc00118d88c6be6ULL},
+      {{{"family", "grid"}, {"dims", "33x7"}}, 0xd17b74e59a79e10dULL},
+      {{{"family", "grid"}, {"dims", "64x7"}}, 0x2ed57ae7b8ca42f7ULL},
+      {{{"family", "torus"}, {"dims", "12x9"}}, 0x494e5e999f5eb8b1ULL},
+      {{{"family", "hypercube"}, {"d", "6"}}, 0x6df5e5d2505d47edULL},
+      {{{"family", "hypercube"}, {"d", "11"}}, 0x72cc4e49c2989a7dULL},
+  });
+}
+
+TEST(GoldenDigest, CgrBytesOfAnExpWeightedTorusAndAFourShardFile) {
+  // gossip_faults' graph: weights make the file a v2.
+  expect_graph_digests({
+      {{{"family", "torus"}, {"dims", "128x128"}, {"weight", "exp"}},
+       0xe2c076e39df7e365ULL},
+  });
+  CgrWriteOptions sharded;
+  sharded.shards = 4;
+  expect_graph_digests(
+      {
+          {{{"family", "erdos_renyi"}, {"n", "5000"}, {"p", "0.002"}},
+           0x155fc2abab82272dULL},
+          {{{"family", "torus"}, {"dims", "64x48"}, {"weight", "exp"}},
+           0x21c8f09ea7807a1dULL},
+      },
+      sharded);
 }
 
 }  // namespace
