@@ -1,11 +1,10 @@
 // SPDX-License-Identifier: MIT
 //
 // M1e — engine throughput: rounds/sec and visits/sec for the COBRA/BIPS
-// hot path on random-regular, grid, and irregular instances, measured
-// against a faithful replica of the pre-optimisation scalar engine
-// (per-trial O(n) construction, 128-bit Lemire draws, per-vertex Bernoulli
-// branching, full-n BIPS scans). Emits machine-readable BENCH_engine.json
-// so successive perf PRs are judged against a recorded trajectory.
+// hot path on random-regular, grid, and irregular instances, serial and
+// dispatched over the trial pool, plus the batched lockstep legs against
+// the scalar runner. Emits machine-readable BENCH_engine.json, whose host
+// block names the machine and build that produced the numbers.
 //
 //   ./micro_engine [--scale small|medium|large] [--trials N] [--seed S]
 //                  [--threads T] [--out BENCH_engine.json]
@@ -17,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "core/bips.hpp"
 #include "core/cobra.hpp"
 #include "graph/generators.hpp"
@@ -30,108 +30,6 @@
 namespace {
 
 using namespace cobra;
-
-// ---------------------------------------------------------------------------
-// Baseline: the seed repository's engines, reproduced verbatim in spirit —
-// one process construction per trial, std::vector state refilled each time,
-// rng.next_below (64x64 -> 128-bit multiply) per neighbour draw, and a BIPS
-// step that scans all n vertices every round.
-// ---------------------------------------------------------------------------
-
-std::uint64_t baseline_next_below(Rng& rng, std::uint64_t bound) {
-  std::uint64_t x = rng();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = rng();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-struct BaselineResult {
-  bool completed = false;
-  std::size_t rounds = 0;
-  std::size_t final_count = 0;
-};
-
-BaselineResult baseline_cobra_cover(const Graph& g, Vertex start, unsigned k,
-                                    std::size_t max_rounds, Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  std::vector<Vertex> frontier{start};
-  std::vector<Vertex> next_frontier;
-  std::vector<Round> member_stamp(n, kRoundNever);
-  std::vector<Round> first_visit(n, kRoundNever);
-  member_stamp[start] = 0;
-  first_visit[start] = 0;
-  std::size_t visited = 1;
-  Round round = 0;
-  while (visited < n && round < max_rounds) {
-    const Round next_round = round + 1;
-    next_frontier.clear();
-    for (const Vertex v : frontier) {
-      const auto degree = g.degree(v);
-      for (unsigned i = 0; i < k; ++i) {
-        const Vertex w = g.neighbor(
-            v, static_cast<std::size_t>(baseline_next_below(rng, degree)));
-        if (member_stamp[w] == next_round) continue;
-        member_stamp[w] = next_round;
-        next_frontier.push_back(w);
-        if (first_visit[w] == kRoundNever) {
-          first_visit[w] = next_round;
-          ++visited;
-        }
-      }
-    }
-    frontier.swap(next_frontier);
-    round = next_round;
-  }
-  return {visited == n, round, visited};
-}
-
-BaselineResult baseline_bips_infection(const Graph& g, Vertex source,
-                                       unsigned k, std::size_t max_rounds,
-                                       Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  std::vector<char> infected(n, 0);
-  std::vector<char> next_infected(n, 0);
-  infected[source] = 1;
-  std::size_t count = 1;
-  Round round = 0;
-  while (count < n && round < max_rounds) {
-    count = 0;
-    for (Vertex u = 0; u < n; ++u) {
-      if (u == source) {
-        next_infected[u] = 1;
-        ++count;
-        continue;
-      }
-      const auto degree = g.degree(u);
-      char hit = 0;
-      for (unsigned i = 0; i < k; ++i) {
-        const Vertex w = g.neighbor(
-            u, static_cast<std::size_t>(baseline_next_below(rng, degree)));
-        if (infected[w]) {
-          hit = 1;
-          break;
-        }
-      }
-      next_infected[u] = hit;
-      count += hit;
-    }
-    infected.swap(next_infected);
-    ++round;
-  }
-  return {count == n, round, count};
-}
-
-// ---------------------------------------------------------------------------
-// Measurement plumbing
-// ---------------------------------------------------------------------------
 
 constexpr std::size_t kMaxRounds = 1u << 20;
 
@@ -148,24 +46,6 @@ struct Throughput {
     return seconds > 0 ? static_cast<double>(visits) / seconds : 0;
   }
 };
-
-template <typename TrialFn>
-Throughput time_baseline(const Graph& g, std::uint64_t seed,
-                         std::size_t trials, const TrialFn& run_trial) {
-  Throughput t;
-  t.trials = trials;
-  Stopwatch watch;
-  for (std::size_t i = 0; i < trials; ++i) {
-    Rng rng = Rng::for_trial(seed, i);
-    const auto start = static_cast<Vertex>(i % g.num_vertices());
-    const BaselineResult result = run_trial(start, rng);
-    t.rounds += result.rounds;
-    t.visits += result.final_count;
-    t.failed += !result.completed;
-  }
-  t.seconds = watch.seconds();
-  return t;
-}
 
 Throughput time_engine_cobra(const Graph& g, std::uint64_t seed,
                              std::size_t trials, std::size_t threads) {
@@ -257,20 +137,14 @@ void print_row(const char* label, const Throughput& t) {
 }
 
 void emit_throughput(FILE* out, const char* name, const Throughput& t,
-                     std::size_t threads) {
+                     std::size_t threads, bool last = false) {
   std::fprintf(out,
                "      \"%s\": {\"threads\": %zu, \"trials\": %zu, "
                "\"failed\": %zu, \"seconds\": %.6f, \"total_rounds\": %llu, "
-               "\"rounds_per_sec\": %.1f, \"visits_per_sec\": %.1f},\n",
+               "\"rounds_per_sec\": %.1f, \"visits_per_sec\": %.1f}%s\n",
                name, threads, t.trials, t.failed, t.seconds,
                static_cast<unsigned long long>(t.rounds), t.rounds_per_sec(),
-               t.visits_per_sec());
-}
-
-double speedup(const Throughput& engine, const Throughput& baseline) {
-  return baseline.rounds_per_sec() > 0
-             ? engine.rounds_per_sec() / baseline.rounds_per_sec()
-             : 0;
+               t.visits_per_sec(), last ? "" : ",");
 }
 
 }  // namespace
@@ -319,6 +193,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"micro_engine\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(out, "  \"scale\": \"%s\",\n", scale.name().c_str());
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(seed));
@@ -332,30 +207,16 @@ int main(int argc, char** argv) {
                 g.num_edges());
 
     std::printf(" COBRA cover (k=2, %zu trials):\n", cobra_trials);
-    const auto cobra_base =
-        time_baseline(g, seed, cobra_trials, [&](Vertex start, Rng& rng) {
-          return baseline_cobra_cover(g, start, 2, kMaxRounds, rng);
-        });
     const auto cobra_engine = time_engine_cobra(g, seed, cobra_trials, 0);
     const auto cobra_mt = time_engine_cobra(g, seed, cobra_trials, threads);
-    print_row("baseline", cobra_base);
     print_row("engine", cobra_engine);
     print_row("engine_mt", cobra_mt);
-    std::printf("  speedup: %.2fx scalar, %.2fx with dispatch\n",
-                speedup(cobra_engine, cobra_base), speedup(cobra_mt, cobra_base));
 
     std::printf(" BIPS infection (k=2, %zu trials):\n", bips_trials);
-    const auto bips_base =
-        time_baseline(g, seed, bips_trials, [&](Vertex source, Rng& rng) {
-          return baseline_bips_infection(g, source, 2, kMaxRounds, rng);
-        });
     const auto bips_engine = time_engine_bips(g, seed, bips_trials, 0);
     const auto bips_mt = time_engine_bips(g, seed, bips_trials, threads);
-    print_row("baseline", bips_base);
     print_row("engine", bips_engine);
     print_row("engine_mt", bips_mt);
-    std::printf("  speedup: %.2fx scalar, %.2fx with dispatch\n",
-                speedup(bips_engine, bips_base), speedup(bips_mt, bips_base));
 
     // Batched lockstep legs: same trials, serial, lanes doing the work.
     std::vector<Vertex> starts(g.num_vertices());
@@ -415,22 +276,12 @@ int main(int argc, char** argv) {
     std::fprintf(out, "\"n\": %zu, \"m\": %zu,\n", g.num_vertices(),
                  g.num_edges());
     std::fprintf(out, "     \"cobra\": {\n");
-    emit_throughput(out, "baseline", cobra_base, 1);
     emit_throughput(out, "engine", cobra_engine, 1);
-    emit_throughput(out, "engine_mt", cobra_mt, threads);
-    std::fprintf(out,
-                 "      \"speedup_scalar\": %.3f, \"speedup_mt\": %.3f\n"
-                 "     },\n",
-                 speedup(cobra_engine, cobra_base),
-                 speedup(cobra_mt, cobra_base));
-    std::fprintf(out, "     \"bips\": {\n");
-    emit_throughput(out, "baseline", bips_base, 1);
+    emit_throughput(out, "engine_mt", cobra_mt, threads, /*last=*/true);
+    std::fprintf(out, "     },\n     \"bips\": {\n");
     emit_throughput(out, "engine", bips_engine, 1);
-    emit_throughput(out, "engine_mt", bips_mt, threads);
-    std::fprintf(out,
-                 "      \"speedup_scalar\": %.3f, \"speedup_mt\": %.3f\n"
-                 "     },\n",
-                 speedup(bips_engine, bips_base), speedup(bips_mt, bips_base));
+    emit_throughput(out, "engine_mt", bips_mt, threads, /*last=*/true);
+    std::fprintf(out, "     },\n");
     const auto emit_batched = [&](const char* key,
                                   const Throughput& scalar_ref,
                                   const std::vector<Throughput>& legs) {

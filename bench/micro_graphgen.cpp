@@ -2,14 +2,12 @@
 //
 // micro_graphgen — graph substrate benchmark emitting BENCH_graphgen.json.
 //
-// Measures, per family and size, the legacy serial construction path
-// (pre-refactor sampling loops + sort-based CSR assembly, kept in-tree as
-// the *_serial parity oracles) against the parallel substrate (chunked
+// Measures, per family and size, the parallel substrate (chunked
 // generation + bucketized two-pass count/scatter assembly), plus the
-// assembly stage in isolation on the same edge multiset in generator
-// emission order. Also reports bytes/vertex before (fixed 8-byte offsets)
-// and after (width-adaptive offsets), and cross-checks that 1-thread and
-// T-thread assemblies produce identical graphs. random_regular has one
+// assembly stage in isolation on the same edge multiset in shuffled
+// order. Also reports bytes/vertex (width-adaptive offsets) and
+// cross-checks that 1-thread and T-thread assemblies produce identical
+// graphs. random_regular has one
 // sampler and no builder stage, so its rows time that sampler alone at
 // r in {3, 4, 6, 8} (min and median over repeats of the same seed, which
 // must rebuild the identical graph), plus the connectivity check that
@@ -32,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -40,7 +39,6 @@
 #include "graph/stream.hpp"
 #include "graph/weights.hpp"
 #include "rand/rng.hpp"
-#include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/scale.hpp"
 #include "util/stopwatch.hpp"
@@ -64,10 +62,8 @@ bool same_graph(const Graph& a, const Graph& b) {
   return true;
 }
 
-/// Edge list in canonical CSR order (the multiset is what assembly
-/// consumes; order only matters for the legacy global sort's run
-/// structure, so we shuffle deterministically to emulate generator
-/// emission order rather than handing the sort presorted input).
+/// The graph's edges, deterministically shuffled so the assembly rows
+/// see generator-like rather than presorted input.
 std::vector<std::pair<Vertex, Vertex>> extract_edges(const Graph& g,
                                                      std::uint64_t seed) {
   std::vector<std::pair<Vertex, Vertex>> edges;
@@ -88,20 +84,10 @@ struct Row {
   std::string family;
   std::size_t n = 0;
   std::size_t edges = 0;
-  double gen_serial_ms = 0;      ///< legacy generator, serial assembly
-  double gen_parallel_ms = 0;    ///< new generator, parallel assembly
-  double asm_serial_ms = 0;      ///< build_serial on the edge multiset
-  double asm_parallel_ms = 0;    ///< build on the same multiset
-  double bytes_per_vertex_before = 0;  ///< 8-byte offsets (pre-refactor)
+  double gen_parallel_ms = 0;    ///< generator, parallel assembly
+  double asm_parallel_ms = 0;    ///< build on the shuffled edge multiset
   double bytes_per_vertex_after = 0;   ///< width-adaptive offsets
   bool deterministic = false;    ///< 1-thread vs T-thread graphs identical
-
-  double gen_speedup() const {
-    return gen_parallel_ms > 0 ? gen_serial_ms / gen_parallel_ms : 0;
-  }
-  double asm_speedup() const {
-    return asm_parallel_ms > 0 ? asm_serial_ms / asm_parallel_ms : 0;
-  }
 };
 
 double timed_ms(const std::function<void()>& fn) {
@@ -150,17 +136,6 @@ RegularRow measure_regular(std::size_t n, std::size_t r,
   row.edges = first.num_edges();
   row.connected_ms = timed_ms([&] { row.connected = is_connected(first); });
   return row;
-}
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos) return line.substr(colon + 2);
-  }
-  return "unknown";
 }
 
 /// Weighted-substrate row: synthetic weight generation, alias-table
@@ -270,23 +245,12 @@ StreamRow measure_stream(std::size_t n, std::uint64_t seed,
   return row;
 }
 
-/// Times the assembly stage both ways on the same multiset and fills the
-/// memory/determinism columns from the parallel result.
+/// Times the assembly stage on the multiset at `threads` and fills the
+/// memory/determinism columns from the result.
 void measure_assembly(Row& row, std::size_t n,
                       const std::vector<std::pair<Vertex, Vertex>>& edges,
                       std::size_t threads) {
   Graph parallel_graph;
-  {
-    GraphBuilder builder(n);
-    builder.reserve(edges.size());
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    row.asm_serial_ms = timed_ms([&] {
-      Graph g = builder.build_serial(row.family + "/serial");
-      row.bytes_per_vertex_before =
-          static_cast<double>((n + 1) * 8 + g.adjacency().size() * 4) /
-          static_cast<double>(n);
-    });
-  }
   {
     GraphBuilder::set_default_threads(threads);
     GraphBuilder builder(n);
@@ -315,18 +279,13 @@ void measure_assembly(Row& row, std::size_t n,
 void emit_row(std::FILE* f, const Row& row, bool last) {
   std::fprintf(
       f,
-      "    {\"family\": \"%s\", \"n\": %zu, \"edges\": %zu,\n"
-      "     \"gen_serial_ms\": %.1f, \"gen_parallel_ms\": %.1f, "
-      "\"gen_speedup\": %.2f,\n"
-      "     \"assembly_serial_ms\": %.1f, \"assembly_parallel_ms\": %.1f, "
-      "\"assembly_speedup\": %.2f,\n"
-      "     \"bytes_per_vertex_before\": %.1f, \"bytes_per_vertex_after\": "
+      "    {\"family\": \"%s\", \"n\": %zu, \"edges\": %zu, "
+      "\"gen_parallel_ms\": %.1f,\n"
+      "     \"assembly_parallel_ms\": %.1f, \"bytes_per_vertex_after\": "
       "%.1f, \"deterministic\": %s}%s\n",
-      row.family.c_str(), row.n, row.edges, row.gen_serial_ms,
-      row.gen_parallel_ms, row.gen_speedup(), row.asm_serial_ms,
-      row.asm_parallel_ms, row.asm_speedup(), row.bytes_per_vertex_before,
-      row.bytes_per_vertex_after, row.deterministic ? "true" : "false",
-      last ? "" : ",");
+      row.family.c_str(), row.n, row.edges, row.gen_parallel_ms,
+      row.asm_parallel_ms, row.bytes_per_vertex_after,
+      row.deterministic ? "true" : "false", last ? "" : ",");
 }
 
 }  // namespace
@@ -358,10 +317,6 @@ int main(int argc, char** argv) {
       row.family = "erdos_renyi";
       row.n = n;
       const double p = 8.0 / static_cast<double>(n);
-      GraphBuilder::set_default_threads(1);
-      Rng serial_rng(seed);
-      row.gen_serial_ms =
-          timed_ms([&] { gen::erdos_renyi_serial(n, p, serial_rng); });
       GraphBuilder::set_default_threads(threads);
       Rng parallel_rng(seed);
       Graph parallel_graph;
@@ -373,7 +328,7 @@ int main(int argc, char** argv) {
       measure_assembly(row, n, edges, threads);
       rows.push_back(std::move(row));
     }
-    // torus (2D, near-square): deterministic, bitwise-identical output.
+    // torus (2D, near-square).
     {
       Row row;
       row.family = "torus2d";
@@ -381,21 +336,12 @@ int main(int argc, char** argv) {
       std::size_t side = 1;
       while (side * side < n) side <<= 1;
       const std::vector<std::size_t> dims{side, n / side};
-      GraphBuilder::set_default_threads(1);
-      Graph serial_graph;
-      row.gen_serial_ms =
-          timed_ms([&] { serial_graph = gen::grid_serial(dims, true); });
       GraphBuilder::set_default_threads(threads);
       Graph parallel_graph;
       row.gen_parallel_ms =
           timed_ms([&] { parallel_graph = gen::torus(dims); });
       row.edges = parallel_graph.num_edges();
-      if (!same_graph(serial_graph, parallel_graph)) {
-        std::fprintf(stderr, "FATAL: torus parity broken at n=%zu\n", n);
-        return 1;
-      }
       const auto edges = extract_edges(parallel_graph, seed ^ 0x85eb);
-      serial_graph = Graph();
       parallel_graph = Graph();
       measure_assembly(row, n, edges, threads);
       rows.push_back(std::move(row));
@@ -438,13 +384,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"graphgen\",\n"
-               "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\", "
-               "\"build\": \"%s\"},\n"
+               "{\n  \"bench\": \"graphgen\",\n  \"host\": %s,\n"
                "  \"scale\": \"%s\",\n  \"threads\": %zu,\n"
                "  \"seed\": %llu,\n  \"repeats\": %d,\n  \"rows\": [\n",
-               std::thread::hardware_concurrency(), cpu_model().c_str(),
-               build_info_string().c_str(), scale.name().c_str(), threads,
+               bench::host_json().c_str(), scale.name().c_str(), threads,
                static_cast<unsigned long long>(seed), kRegularRepeats);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     emit_row(f, rows[i], i + 1 == rows.size());
@@ -496,16 +439,12 @@ int main(int argc, char** argv) {
                all_deterministic ? "true" : "false");
   std::fclose(f);
 
-  std::printf("%-16s %10s %12s %12s %8s %12s %12s %8s %7s %7s\n", "family",
-              "n", "gen_ser_ms", "gen_par_ms", "gen_x", "asm_ser_ms",
-              "asm_par_ms", "asm_x", "B/v_old", "B/v_new");
+  std::printf("%-16s %10s %12s %12s %7s\n", "family", "n", "gen_par_ms",
+              "asm_par_ms", "B/v");
   for (const Row& row : rows) {
-    std::printf("%-16s %10zu %12.1f %12.1f %8.2f %12.1f %12.1f %8.2f %7.1f "
-                "%7.1f%s\n",
-                row.family.c_str(), row.n, row.gen_serial_ms,
-                row.gen_parallel_ms, row.gen_speedup(), row.asm_serial_ms,
-                row.asm_parallel_ms, row.asm_speedup(),
-                row.bytes_per_vertex_before, row.bytes_per_vertex_after,
+    std::printf("%-16s %10zu %12.1f %12.1f %7.1f%s\n", row.family.c_str(),
+                row.n, row.gen_parallel_ms, row.asm_parallel_ms,
+                row.bytes_per_vertex_after,
                 row.deterministic ? "" : "  DETERMINISM BROKEN");
   }
   std::printf("%-16s %10s %4s %12s %12s %12s\n", "random_regular", "n", "r",

@@ -8,7 +8,6 @@
 #include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
 #include "spectral/matvec.hpp"
-#include "spectral/power.hpp"
 
 namespace {
 
@@ -36,16 +35,6 @@ void BM_Lanczos(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Lanczos)->Arg(1024)->Arg(16384)->Unit(benchmark::kMillisecond);
-
-void BM_PowerIteration(benchmark::State& state) {
-  cobra::Rng rng(3);
-  const auto g = cobra::gen::connected_random_regular(
-      static_cast<std::size_t>(state.range(0)), 8, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cobra::spectral::second_eigenvalue_power(g));
-  }
-}
-BENCHMARK(BM_PowerIteration)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_JacobiDense(benchmark::State& state) {
   const auto g = cobra::gen::torus(

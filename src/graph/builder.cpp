@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "sim/thread_pool.hpp"
 
@@ -396,11 +397,11 @@ CsrArrays<Offset> scatter_csr_dispatch(
                                             bucket_shift);
 }
 
-/// First duplicate in (min,max)-lexicographic order — matching the legacy
-/// sort-based detection's report. The lowest vertex v whose list has an
-/// adjacent equal pair owns the lexicographically first duplicate (a
-/// duplicate {a,b}, a<b, shows as two b's in a's list, and any smaller
-/// duplicate would have been found at its own smaller min endpoint).
+/// First duplicate in (min,max)-lexicographic order, whatever the queue
+/// order. The lowest vertex v whose list has an adjacent equal pair owns
+/// the lexicographically first duplicate (a duplicate {a,b}, a<b, shows
+/// as two b's in a's list, and any smaller duplicate would have been
+/// found at its own smaller min endpoint).
 template <typename Offset>
 std::pair<Vertex, Vertex> first_duplicate(const CsrArrays<Offset>& arrays,
                                           std::size_t n) {
@@ -574,66 +575,13 @@ bool GraphBuilder::has_edge_queued(Vertex u, Vertex v) const {
 }
 
 Graph GraphBuilder::build(std::string name) {
-  return finish_parallel(std::move(name), /*allow_duplicates=*/false);
+  return assemble_dispatch(num_vertices_, std::exchange(edges_, {}),
+                           std::move(name), /*allow_duplicates=*/false);
 }
 
 Graph GraphBuilder::build_dedup(std::string name) {
-  return finish_parallel(std::move(name), /*allow_duplicates=*/true);
-}
-
-Graph GraphBuilder::build_serial(std::string name) {
-  return finish_serial(std::move(name), /*allow_duplicates=*/false);
-}
-
-Graph GraphBuilder::build_dedup_serial(std::string name) {
-  return finish_serial(std::move(name), /*allow_duplicates=*/true);
-}
-
-Graph GraphBuilder::finish_parallel(std::string name, bool allow_duplicates) {
-  Graph g = assemble_dispatch(num_vertices_, edges_, std::move(name),
-                              allow_duplicates);
-  edges_.clear();
-  return g;
-}
-
-// The legacy sort-based assembly, kept verbatim: global (min,max) edge
-// sort, adjacent_find duplicate detection, scatter, per-vertex sorts.
-// This is the parity oracle the parallel path is tested against and the
-// serial baseline bench/micro_graphgen reports speedups over.
-Graph GraphBuilder::finish_serial(std::string name, bool allow_duplicates) {
-  std::sort(edges_.begin(), edges_.end());
-  const auto first_dup = std::adjacent_find(edges_.begin(), edges_.end());
-  if (first_dup != edges_.end()) {
-    if (!allow_duplicates) {
-      throw std::invalid_argument(
-          "duplicate edge {" + std::to_string(first_dup->first) + "," +
-          std::to_string(first_dup->second) + "} in graph '" + name + "'");
-    }
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  }
-
-  std::vector<std::size_t> offsets(num_vertices_ + 1, 0);
-  for (const auto& [u, v] : edges_) {
-    ++offsets[u + 1];
-    ++offsets[v + 1];
-  }
-  for (std::size_t i = 1; i <= num_vertices_; ++i) offsets[i] += offsets[i - 1];
-
-  std::vector<Vertex> adjacency(edges_.size() * 2);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges_) {
-    adjacency[cursor[u]++] = v;
-    adjacency[cursor[v]++] = u;
-  }
-  // Edges were sorted by (min, max); per-vertex lists need an explicit sort
-  // because a vertex appears as both endpoint roles.
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-  }
-
-  edges_.clear();
-  return Graph(std::move(offsets), std::move(adjacency), std::move(name));
+  return assemble_dispatch(num_vertices_, std::exchange(edges_, {}),
+                           std::move(name), /*allow_duplicates=*/true);
 }
 
 }  // namespace cobra

@@ -16,14 +16,10 @@
 // a private slot range in every bucket, so the scatter needs no atomics,
 // then per-vertex neighbour sorts (which also detect duplicates as
 // adjacent equal entries) run per bucket. No global edge sort is
-// performed, which is what makes assembly several times faster than the
-// legacy path even single-threaded. Because the finished CSR is canonical
-// (sorted neighbourhoods), the result is bitwise-identical whatever the
-// thread count or scatter interleaving.
-//
-// build_serial()/build_dedup_serial() keep the original sort-based
-// assembly verbatim — the parity oracle for tests and the baseline that
-// bench/micro_graphgen measures the parallel path against.
+// performed. Because the finished CSR is canonical (sorted
+// neighbourhoods), the result is bitwise-identical whatever the thread
+// count or scatter interleaving; tests/golden_digest_test.cpp pins the
+// .cgr bytes of every generator family at 1, 4 and 8 threads.
 #pragma once
 
 #include <cstdint>
@@ -77,20 +73,14 @@ class GraphBuilder {
 
   /// Freezes into a Graph named `name` (parallel two-pass assembly).
   /// Throws std::invalid_argument if any duplicate undirected edge was
-  /// queued. The builder is left empty.
+  /// queued, naming the (min, max)-smallest one. The builder is left
+  /// empty.
   Graph build(std::string name);
 
   /// Like build(), but silently drops duplicate edges instead of throwing —
   /// for random generators (e.g. G(n,p) contact overlays) where collisions
   /// are expected and harmless.
   Graph build_dedup(std::string name);
-
-  /// Legacy sort-based assembly (global edge sort + scatter + per-vertex
-  /// sorts), kept verbatim as the parity oracle for the parallel path and
-  /// the serial baseline for bench/micro_graphgen. Semantics identical to
-  /// build()/build_dedup().
-  Graph build_serial(std::string name);
-  Graph build_dedup_serial(std::string name);
 
   /// Process-wide parallelism of the graph substrate (assembly, weight
   /// fill, alias build, streamed scatter): set_default_threads(0) (the
@@ -103,9 +93,6 @@ class GraphBuilder {
   static std::size_t default_threads() noexcept;
 
  private:
-  Graph finish_serial(std::string name, bool allow_duplicates);
-  Graph finish_parallel(std::string name, bool allow_duplicates);
-
   std::size_t num_vertices_;
   std::vector<std::pair<Vertex, Vertex>> edges_;
 };

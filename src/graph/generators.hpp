@@ -152,21 +152,4 @@ Graph paley(std::size_t q);
 /// count that fits comfortably: C(n_set, k) <= 1e6).
 Graph kneser(std::size_t n_set, std::size_t k_subset);
 
-// ---- legacy serial oracles ----
-//
-// The exact pre-refactor generator loops with the sort-based serial
-// assembly, kept as parity oracles for the parallel generators (see
-// tests/substrate_test.cpp) and as the baselines bench/micro_graphgen
-// reports speedups against. Determinism contracts:
-//  * grid/torus/hypercube are deterministic, so parallel chunking is
-//    bitwise-identical by construction;
-//  * erdos_renyi was restructured into per-chunk RNG streams (the serial
-//    skip sequence cannot be split), so erdos_renyi_serial is the
-//    distributional oracle, not a bitwise one.
-// random_regular's exact-uniform oracle is test-local
-// (tests/substrate_test.cpp).
-Graph erdos_renyi_serial(std::size_t n, double p, Rng& rng);
-Graph grid_serial(const std::vector<std::size_t>& dims, bool periodic);
-Graph hypercube_serial(std::size_t d);
-
 }  // namespace cobra::gen

@@ -3,13 +3,11 @@
 // Lattice families. The parallel generators emit edges in deterministic
 // vertex-range chunks through GraphBuilder::add_edges_chunked; because the
 // families are deterministic (no RNG) and the builder canonicalizes
-// neighbour lists, the output is bitwise-identical to the legacy serial
-// generators (grid_serial / hypercube_serial, kept below as oracles) for
-// every thread count.
+// neighbour lists, the output is bitwise-identical for every thread count
+// (tests/golden_digest_test.cpp pins the .cgr bytes).
 #include <stdexcept>
 #include <string>
 
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/stream.hpp"
 
@@ -129,28 +127,8 @@ EdgeStream hypercube_stream(std::size_t d) {
   return stream;
 }
 
-namespace {
-
-/// Shared in-core materialization: feed a lattice stream's emitter through
-/// the builder with the stream's own chunking — the same windows the
-/// out-of-core scatter walks, which pins byte identity between the paths.
-Graph build_from_stream(const EdgeStream& stream) {
-  GraphBuilder builder(stream.n);
-  builder.reserve(stream.edges_hint);
-  builder.add_edges_chunked(
-      stream.count,
-      [&stream](std::size_t begin, std::size_t end,
-                std::vector<std::pair<Vertex, Vertex>>& out) {
-        stream.emit(begin, end, out);
-      },
-      stream.chunk_items);
-  return builder.build(stream.name);
-}
-
-}  // namespace
-
 Graph grid(const std::vector<std::size_t>& dims, bool periodic) {
-  return build_from_stream(grid_stream(dims, periodic));
+  return build_stream(grid_stream(dims, periodic));
 }
 
 Graph torus(const std::vector<std::size_t>& dims) {
@@ -158,43 +136,7 @@ Graph torus(const std::vector<std::size_t>& dims) {
 }
 
 Graph hypercube(std::size_t d) {
-  return build_from_stream(hypercube_stream(d));
-}
-
-// ---- legacy serial oracles (see generators.hpp) ----
-
-Graph grid_serial(const std::vector<std::size_t>& dims, bool periodic) {
-  const std::size_t n = checked_grid_size(dims, periodic);
-  GraphBuilder builder(n);
-  std::vector<std::size_t> coord(dims.size(), 0);
-  do {
-    const auto u = static_cast<Vertex>(linear_index(coord, dims));
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      auto next = coord;
-      if (coord[d] + 1 < dims[d]) {
-        next[d] = coord[d] + 1;
-      } else if (periodic) {
-        next[d] = 0;
-      } else {
-        continue;
-      }
-      builder.add_edge(u, static_cast<Vertex>(linear_index(next, dims)));
-    }
-  } while (next_coordinate(coord, dims));
-  return builder.build_serial(grid_name(dims, periodic));
-}
-
-Graph hypercube_serial(std::size_t d) {
-  if (d < 1 || d > 31) throw std::invalid_argument("hypercube requires 1 <= d <= 31");
-  const std::size_t n = std::size_t{1} << d;
-  GraphBuilder builder(n);
-  for (Vertex v = 0; v < n; ++v) {
-    for (std::size_t bit = 0; bit < d; ++bit) {
-      const Vertex w = v ^ static_cast<Vertex>(std::size_t{1} << bit);
-      if (v < w) builder.add_edge(v, w);
-    }
-  }
-  return builder.build_serial("hypercube(d=" + std::to_string(d) + ")");
+  return build_stream(hypercube_stream(d));
 }
 
 }  // namespace cobra::gen

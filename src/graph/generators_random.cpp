@@ -247,10 +247,8 @@ EdgeStream erdos_renyi_stream(std::size_t n, double p, Rng& rng) {
   // (Rng::for_trial(master, c)), so the sample is a pure function of
   // (seed, n, p) — independent of thread count and of whether the stream
   // is built in core or scattered to disk. The chunk count depends only
-  // on n. The per-chunk streams make this a restructured sampler:
-  // erdos_renyi_serial keeps the legacy single-stream sequence as the
-  // distributional parity oracle. p == 1 enumerates every pair (the
-  // in-core generator shortcuts to complete(n) before reaching here).
+  // on n. p == 1 enumerates every pair (the in-core generator shortcuts
+  // to complete(n) before reaching here).
   const double log_q = p == 1.0 ? 0.0 : std::log1p(-p);
   const auto nn = static_cast<std::uint64_t>(n);
   const std::uint64_t total_pairs = nn * (nn - 1) / 2;
@@ -296,48 +294,7 @@ Graph erdos_renyi(std::size_t n, double p, Rng& rng) {
   // Built *from the stream*: the in-core and out-of-core paths consume the
   // identical chunked emitter (same master draw, same chunk boundaries),
   // which is what pins their byte identity.
-  const EdgeStream stream = erdos_renyi_stream(n, p, rng);
-  GraphBuilder builder(n);
-  if (stream.count == 0) return builder.build(stream.name);
-  builder.reserve(stream.edges_hint);
-  builder.add_edges_chunked(
-      stream.count,
-      [&stream](std::size_t begin, std::size_t end,
-                std::vector<std::pair<Vertex, Vertex>>& out) {
-        stream.emit(begin, end, out);
-      },
-      stream.chunk_items);
-  return builder.build(stream.name);
-}
-
-Graph erdos_renyi_serial(std::size_t n, double p, Rng& rng) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("erdos_renyi requires p in [0,1]");
-  }
-  GraphBuilder builder(n);
-  const std::string name =
-      "erdos_renyi(n=" + std::to_string(n) + ",p=" + std::to_string(p) + ")";
-  if (n < 2 || p == 0.0) return builder.build_serial(name);
-  if (p == 1.0) return complete(n);
-
-  // The legacy single-stream skip sequence: enumerate the n*(n-1)/2 pairs
-  // in row-major order, jumping Geometric(p) positions between successes.
-  const double log_q = std::log1p(-p);
-  std::uint64_t v = 1;
-  std::int64_t w = -1;
-  const auto nn = static_cast<std::uint64_t>(n);
-  while (v < nn) {
-    const double u01 = 1.0 - rng.next_double();
-    w += 1 + static_cast<std::int64_t>(std::floor(std::log(u01) / log_q));
-    while (w >= static_cast<std::int64_t>(v) && v < nn) {
-      w -= static_cast<std::int64_t>(v);
-      ++v;
-    }
-    if (v < nn) {
-      builder.add_edge(static_cast<Vertex>(w), static_cast<Vertex>(v));
-    }
-  }
-  return builder.build_serial(name);
+  return build_stream(erdos_renyi_stream(n, p, rng));
 }
 
 Graph watts_strogatz(std::size_t n, std::size_t k, double beta, Rng& rng) {

@@ -92,6 +92,19 @@ class SpillSet {
 
 }  // namespace
 
+Graph build_stream(const EdgeStream& stream) {
+  GraphBuilder builder(stream.n);
+  builder.reserve(stream.edges_hint);
+  builder.add_edges_chunked(
+      stream.count,
+      [&stream](std::size_t begin, std::size_t end,
+                std::vector<std::pair<Vertex, Vertex>>& out) {
+        stream.emit(begin, end, out);
+      },
+      stream.chunk_items);
+  return builder.build(stream.name);
+}
+
 StreamToCgrStats stream_to_cgr(const EdgeStream& stream,
                                const std::string& path,
                                const StreamToCgrOptions& options) {

@@ -67,6 +67,11 @@ EdgeStream grid_stream(const std::vector<std::size_t>& dims, bool periodic);
 EdgeStream torus_stream(const std::vector<std::size_t>& dims);
 EdgeStream hypercube_stream(std::size_t d);
 
+/// The in-core path: feeds `stream`'s emitter through GraphBuilder with
+/// the stream's own chunking — the windows stream_to_cgr walks — and
+/// assembles the CSR in RAM.
+Graph build_stream(const EdgeStream& stream);
+
 struct StreamToCgrOptions {
   /// Approximate peak-RSS target for the whole generation, in bytes. The
   /// shard count is derived so one shard's assembly working set (~16 bytes

@@ -12,6 +12,7 @@
 #include "scenario/job_runner.hpp"
 #include "scenario/sink.hpp"
 #include "sim/batched.hpp"
+#include "util/parse_number.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cobra::scenario {
@@ -51,7 +52,7 @@ struct Axis {
 
 std::uint64_t parse_seed_value(const std::string& text) {
   std::int64_t value = 0;
-  if (!parse_spec_int(text, value) || value < 0) {
+  if (!parse_integer(text, value) || value < 0) {
     throw SpecError("[campaign] seeds expects non-negative integers, got '" +
                     text + "'");
   }
@@ -186,7 +187,7 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
           spec.source() + ":" + std::to_string(entry.line) + ": [telemetry] ";
       if (entry.key == "progress") {
         double seconds = 0.0;
-        if (!parse_spec_double(entry.value, seconds) || seconds < 0.0) {
+        if (!parse_number(entry.value, seconds) || seconds < 0.0) {
           throw SpecError(where +
                           "progress expects an interval in seconds >= 0 "
                           "(0 = off), got '" + entry.value + "'");
@@ -204,7 +205,7 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
       } else if (entry.key == "rounds_sample_every" ||
                  entry.key == "rounds_trials") {
         std::int64_t value = 0;
-        if (!parse_spec_int(entry.value, value) || value < 1) {
+        if (!parse_integer(entry.value, value) || value < 1) {
           throw SpecError(where + entry.key + " expects an integer >= 1, "
                           "got '" + entry.value + "'");
         }
@@ -229,7 +230,7 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
           spec.source() + ":" + std::to_string(entry.line) + ": [engine] ";
       if (entry.key == "batch") {
         std::int64_t value = 0;
-        if (!parse_spec_int(entry.value, value) || value < 1 ||
+        if (!parse_integer(entry.value, value) || value < 1 ||
             value > static_cast<std::int64_t>(kMaxBatch)) {
           throw SpecError(where + "batch expects an integer in [1, " +
                           std::to_string(kMaxBatch) + "], got '" +

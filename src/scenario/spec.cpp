@@ -1,10 +1,10 @@
 // SPDX-License-Identifier: MIT
 #include "scenario/spec.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <sstream>
+
+#include "util/parse_number.hpp"
 
 namespace cobra::scenario {
 
@@ -29,7 +29,7 @@ std::string_view trim(std::string_view text) {
 std::int64_t parse_int(const std::string& source, std::size_t line,
                        std::string_view text, std::string_view what) {
   std::int64_t value = 0;
-  if (!parse_spec_int(text, value)) {
+  if (!parse_integer(text, value)) {
     fail_at(source, line,
             std::string(what) + " expects an integer, got '" +
                 std::string(text) + "'");
@@ -38,22 +38,6 @@ std::int64_t parse_int(const std::string& source, std::size_t line,
 }
 
 }  // namespace
-
-bool parse_spec_int(std::string_view text, std::int64_t& value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool parse_spec_double(const std::string& text, double& value) {
-  try {
-    std::size_t used = 0;
-    value = std::stod(text, &used);
-    return used == text.size() && std::isfinite(value);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 const SpecEntry* SpecSection::find(std::string_view key) const {
   for (const auto& entry : entries) {
@@ -207,7 +191,7 @@ double ScenarioSpec::get_double(std::string_view section_name,
   const SpecEntry* entry = sec != nullptr ? sec->find(key) : nullptr;
   if (entry == nullptr) return fallback;
   double value = 0.0;
-  if (!parse_spec_double(entry->value, value)) {
+  if (!parse_number(entry->value, value)) {
     fail_at(source_, entry->line,
             "[" + std::string(section_name) + "] " + std::string(key) +
                 " expects a number, got '" + entry->value + "'");
@@ -260,7 +244,7 @@ std::vector<std::string> expand_values(const std::string& value,
   const auto parse_endpoint = [&](std::string_view text,
                                   std::string_view what) {
     std::int64_t v = 0;
-    if (!parse_spec_int(trim(text), v)) {
+    if (!parse_integer(trim(text), v)) {
       throw SpecError(context + ": range " + std::string(what) +
                       " must be an integer, got '" + std::string(trim(text)) +
                       "' in '" + value + "'");

@@ -114,13 +114,4 @@ class ScenarioSpec {
 std::vector<std::string> expand_values(const std::string& value,
                                        const std::string& context = "value");
 
-/// Strict full-consumption integer parse shared by every scenario number
-/// site (spec getters, registry params, seed values) so the grammar stays
-/// consistent. Returns false on malformed/partial input.
-bool parse_spec_int(std::string_view text, std::int64_t& value);
-
-/// Strict full-consumption double parse (same sharing rationale); rejects
-/// "nan" and "inf", which std::stod would accept.
-bool parse_spec_double(const std::string& text, double& value);
-
 }  // namespace cobra::scenario

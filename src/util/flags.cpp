@@ -2,12 +2,24 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/parse_number.hpp"
+
 namespace cobra {
+
+namespace {
+
+[[noreturn]] void throw_bad_value(const std::string& flag,
+                                  const std::string& expects,
+                                  const std::string& text) {
+  throw std::invalid_argument("flag --" + flag + " expects " + expects +
+                              ", got '" + text + "'");
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -63,12 +75,8 @@ std::int64_t Flags::get_int(std::string_view name, std::int64_t fallback) const 
   if (it == values_.end()) return fallback;
   consumed_[it->first] = true;
   std::int64_t value = 0;
-  const auto& text = it->second;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw std::invalid_argument("flag --" + it->first +
-                                " expects an integer, got '" + text + "'");
+  if (!parse_integer(it->second, value)) {
+    throw_bad_value(it->first, "an integer", it->second);
   }
   return value;
 }
@@ -82,15 +90,11 @@ double Flags::get_double(std::string_view name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   consumed_[it->first] = true;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + it->first +
-                                " expects a number, got '" + it->second + "'");
+  double value = 0.0;
+  if (!parse_number(it->second, value)) {
+    throw_bad_value(it->first, "a finite number", it->second);
   }
+  return value;
 }
 
 bool Flags::get_bool(std::string_view name, bool fallback) const {
@@ -103,8 +107,7 @@ bool Flags::get_bool(std::string_view name, bool fallback) const {
     return true;
   }
   if (text == "0" || text == "false" || text == "no") return false;
-  throw std::invalid_argument("flag --" + it->first +
-                              " expects a boolean, got '" + text + "'");
+  throw_bad_value(it->first, "a boolean", text);
 }
 
 std::vector<std::string> Flags::unconsumed() const {

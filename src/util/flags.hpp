@@ -36,7 +36,8 @@ class Flags {
   bool has(std::string_view name) const;
 
   /// Value lookups with defaults. get_int/get_double throw
-  /// std::invalid_argument on malformed numbers (fail loudly, per I.10).
+  /// std::invalid_argument on malformed numbers, and get_double on nan and
+  /// inf too (util/parse_number.hpp; fail loudly, per I.10).
   std::string get(std::string_view name, std::string_view fallback) const;
   std::int64_t get_int(std::string_view name, std::int64_t fallback) const;
   double get_double(std::string_view name, double fallback) const;

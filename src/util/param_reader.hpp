@@ -4,20 +4,19 @@
 // lists — the shape both scenario specs and the process factory resolve
 // to. Tracks which keys were consumed so finish() can reject leftovers
 // loudly (typo protection: a mistyped key names itself instead of being
-// ignored), and parses numbers with strict full-consumption semantics.
+// ignored), and parses numbers by util/parse_number.hpp's rule.
 // Templated on the exception type so each layer reports its own error
 // class (SpecError for graph families, ProcessFactoryError for
 // processes) with identical message formats.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/parse_number.hpp"
 
 namespace cobra {
 
@@ -114,9 +113,7 @@ class ParamReader {
 
   std::int64_t to_int(std::string_view key, const std::string& text) const {
     std::int64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size()) {
+    if (!parse_integer(text, value)) {
       throw Error(context_ + ": parameter '" + std::string(key) +
                   "' expects an integer, got '" + text + "'");
     }
@@ -125,19 +122,7 @@ class ParamReader {
 
   double to_double(std::string_view key, const std::string& text) const {
     double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(text, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (text.empty() || used != text.size()) {
-      throw Error(context_ + ": parameter '" + std::string(key) +
-                  "' expects a number, got '" + text + "'");
-    }
-    // std::stod accepts "nan" and "inf"; no parameter means either, and a
-    // NaN would slip through every range check written with < and >.
-    if (!std::isfinite(value)) {
+    if (!parse_number(text, value)) {
       throw Error(context_ + ": parameter '" + std::string(key) +
                   "' expects a finite number, got '" + text + "'");
     }

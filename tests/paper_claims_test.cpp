@@ -12,7 +12,12 @@
 //  * k = 1 is a simple random walk, whose cover time on random r-regular
 //    graphs is ~ (r-1)/(r-2) n ln n (Cooper & Frieze 2005; 7/6 at r = 8):
 //    cover / (n ln n) lies in [1.10, 1.40] and does not grow with n beyond
-//    its standard error.
+//    its standard error;
+//  * Theorem 1's gap regime, O(log n / (1 - lambda)^3): on a ladder of
+//    circulants over n = 257 whose chord sets widen, COBRA k = 2 and BIPS
+//    k = 2 mean rounds fall at least 1.5x from rung to rung as 1 - lambda
+//    grows, and mean * (1 - lambda)^3 / ln n stays at most 1 with lambda
+//    from spectral_report (a solver returning a gap near 1 breaks it).
 // They catch a wrong result that golden digests re-recorded on purpose
 // would let through.
 #include <cmath>
@@ -24,6 +29,7 @@
 #include "core/bips.hpp"
 #include "core/cobra.hpp"
 #include "graph/generators.hpp"
+#include "spectral/gap.hpp"
 #include "stats/online.hpp"
 
 namespace cobra {
@@ -34,23 +40,30 @@ constexpr std::size_t kTrialsPerGraph = 16;
 const std::vector<std::size_t> kSizes = {1u << 8, 1u << 10, 1u << 12,
                                          1u << 14};
 
+/// Adds the rounds of kTrialsPerGraph trials of a ProcessT on g at
+/// branching k, trial t seeded with seed + t; every trial must complete.
+template <typename ProcessT, typename Options>
+void add_trial_rounds(OnlineStats& rounds, const Graph& g, unsigned k,
+                      Options options, std::uint64_t seed) {
+  options.branching = Branching::fixed(k);
+  ProcessT process(g, 0, options);
+  for (std::size_t trial = 0; trial < kTrialsPerGraph; ++trial) {
+    const auto start = static_cast<Vertex>(trial * 131 % g.num_vertices());
+    const SpreadResult result = process.run(Rng(seed + trial), start);
+    EXPECT_TRUE(result.completed) << g.name() << ", k = " << k;
+    rounds.add(static_cast<double>(result.rounds));
+  }
+}
+
 /// Rounds of kGraphs x kTrialsPerGraph trials of a ProcessT at size n and
 /// branching k, all of which must complete.
 template <typename ProcessT, typename Options>
 OnlineStats trial_rounds(std::size_t n, unsigned k, Options options) {
-  options.branching = Branching::fixed(k);
   OnlineStats rounds;
   for (std::size_t graph = 0; graph < kGraphs; ++graph) {
     Rng graph_rng(1000 * n + graph);
     const Graph g = gen::connected_random_regular(n, 8, graph_rng);
-    ProcessT process(g, 0, options);
-    for (std::size_t trial = 0; trial < kTrialsPerGraph; ++trial) {
-      const auto start = static_cast<Vertex>(trial * 131 % n);
-      const SpreadResult result =
-          process.run(Rng(7919 * graph + trial + k), start);
-      EXPECT_TRUE(result.completed) << "n = " << n << ", k = " << k;
-      rounds.add(static_cast<double>(result.rounds));
-    }
+    add_trial_rounds<ProcessT>(rounds, g, k, options, 7919 * graph + k);
   }
   return rounds;
 }
@@ -115,6 +128,42 @@ TEST(PaperClaims, CobraK1CoverIsNLogNAndDoesNotGrowFaster) {
     EXPECT_LE(ratio, 1.40) << "n = " << n;
     return rounds;
   });
+}
+
+TEST(PaperClaims, CoverAndInfectionFallAsTheSpectralGapWidens) {
+  // Odd n, so no rung is bipartite; n > 256, so spectral_report runs
+  // Lanczos. The ladder is exp_cover_vs_gap's at this n, without its last
+  // rung (chords 1, 2, 4, ..., 64), which reads no faster than a random
+  // 8-regular graph here.
+  constexpr std::size_t n = 257;
+  const std::vector<std::vector<std::uint32_t>> rungs = {
+      {1}, {1, 2}, {1, 2, 3, 4}, {1, 2, 8, 32}};
+  CobraOptions cobra_options;
+  cobra_options.record_curves = false;
+  BipsOptions bips_options;
+  bips_options.record_curve = false;
+  double previous[2] = {0.0, 0.0};
+  for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
+    const Graph g = gen::circulant(n, rungs[rung]);
+    const double gap = spectral::spectral_report(g).gap;
+    OnlineStats rounds[2];
+    add_trial_rounds<CobraProcess>(rounds[0], g, 2, cobra_options,
+                                   101 * rung);
+    add_trial_rounds<BipsProcess>(rounds[1], g, 2, bips_options,
+                                  101 * rung + 50);
+    for (const int process : {0, 1}) {
+      const char* name = process == 0 ? "cobra" : "bips";
+      const double mean = rounds[process].mean();
+      EXPECT_LE(mean * gap * gap * gap / std::log(n), 1.0)
+          << g.name() << " " << name << ": mean " << mean << ", gap " << gap;
+      if (rung > 0) {
+        EXPECT_GE(previous[process], 1.5 * mean)
+            << g.name() << " " << name << ": " << previous[process]
+            << " -> " << mean;
+      }
+      previous[process] = mean;
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 //
 // scenario_runner as a process: a run killed with SIGKILL mid-campaign
 // resumes from its journal to sinks byte-identical to an uninterrupted
-// serial run, and a run that cannot write its journal (file-size limit,
-// the shape of a full disk) exits 1 naming the journal instead of
-// finishing on truncated output. The binary's path comes from CMake
-// (COBRA_SCENARIO_RUNNER). Children are started with posix_spawn, never
-// fork: under ThreadSanitizer a forked child of a threaded parent dies as
-// soon as it starts threads of its own.
+// serial run; a run that cannot write its journal (file-size limit, the
+// shape of a full disk) exits 1 naming the journal instead of finishing
+// on truncated output; a --progress value the [telemetry] progress key
+// would reject exits 1 before any job runs. The binary's path comes from
+// CMake (COBRA_SCENARIO_RUNNER). Children are started with posix_spawn,
+// never fork: under ThreadSanitizer a forked child of a threaded parent
+// dies as soon as it starts threads of its own.
 #include <fcntl.h>
 #include <signal.h>
 #include <spawn.h>
@@ -225,6 +226,30 @@ TEST(ScenarioRunner, JournalWriteFailureExitsOneNamingTheJournal) {
       << log;
   EXPECT_EQ(log.find("wrote "), std::string::npos) << log;
   EXPECT_TRUE(read_file(stem + ".jsonl").empty());
+  remove_outputs(stem);
+  std::remove(spec.c_str());
+}
+
+TEST(ScenarioRunner, ProgressFlagTakesTheSpecKeysRangeCheck) {
+  const std::string dir = cobra::test_temp_dir();
+  const std::string spec = dir + "runner_progress.scenario";
+  const std::string stem = dir + "runner_progress";
+  write_file(spec, kSmallJobsSpec);
+  for (const char* value : {"nan", "inf", "-5"}) {
+    remove_outputs(stem);
+    const pid_t pid = spawn({kRunner, spec, "--output", stem, "--fresh",
+                             "--quiet", "--progress", value},
+                            stem + ".log");
+    ASSERT_GT(pid, 0);
+    const int status = wait_for(pid);
+    const std::string log = read_file(stem + ".log");
+    ASSERT_TRUE(WIFEXITED(status)) << log;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << value << ": " << log;
+    EXPECT_NE(log.find("[telemetry] progress expects an interval"),
+              std::string::npos)
+        << log;
+    EXPECT_TRUE(read_file(stem + ".jsonl").empty()) << value;
+  }
   remove_outputs(stem);
   std::remove(spec.c_str());
 }

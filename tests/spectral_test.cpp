@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: MIT
 //
-// Spectral solver tests: closed forms vs Jacobi vs Lanczos vs power
-// iteration, cross-validated across the generator atlas.
+// Spectral solver tests: closed forms vs Jacobi vs Lanczos,
+// cross-validated across the generator atlas.
 #include "spectral/gap.hpp"
 
 #include <cmath>
@@ -15,14 +15,12 @@
 #include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
 #include "spectral/matvec.hpp"
-#include "spectral/power.hpp"
 
 namespace cobra {
 namespace {
 
 using spectral::dense_spectrum;
 using spectral::second_eigenvalue_lanczos;
-using spectral::second_eigenvalue_power;
 using spectral::spectral_report;
 
 constexpr double kTol = 1e-6;
@@ -174,16 +172,6 @@ TEST_P(SolversAgree, JacobiMatchesClosedForm) {
   EXPECT_NEAR(lambda, c.expected_lambda, kTol) << c.label;
 }
 
-TEST_P(SolversAgree, PowerMatchesClosedForm) {
-  const auto& c = GetParam();
-  const auto result = second_eigenvalue_power(c.graph);
-  // Power iteration cannot separate near-ties; accept either convergence
-  // to the right value or non-convergence flagged honestly.
-  if (result.converged) {
-    EXPECT_NEAR(result.lambda_abs, c.expected_lambda, 1e-5) << c.label;
-  }
-}
-
 std::vector<SpectralCase> spectral_cases() {
   std::vector<SpectralCase> cases;
   cases.push_back({"complete_16", gen::complete(16), spectral::lambda_complete(16)});
@@ -231,13 +219,6 @@ TEST(Lanczos, BipartiteDetectsMinusOne) {
   const auto result = second_eigenvalue_lanczos(gen::hypercube(6));
   EXPECT_NEAR(result.lambda_min, -1.0, 1e-8);
   EXPECT_NEAR(result.lambda_abs, 1.0, 1e-8);
-}
-
-TEST(Power, CompleteGraph) {
-  const auto result = second_eigenvalue_power(gen::complete(20));
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.lambda_abs, 1.0 / 19.0, 1e-7);
-  EXPECT_NEAR(result.eigenvalue, -1.0 / 19.0, 1e-7);  // signed
 }
 
 TEST(SpectralReport, SmallUsesJacobiLargeUsesLanczos) {

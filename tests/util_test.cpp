@@ -64,6 +64,10 @@ TEST(FlagsTest, MalformedNumbersThrow) {
   EXPECT_THROW(make_flags({"--n=12x"}).get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(make_flags({"--r=1.2.3"}).get_double("r", 0),
                std::invalid_argument);
+  for (const char* flag : {"--r=nan", "--r=inf", "--r=-inf"}) {
+    EXPECT_THROW(make_flags({flag}).get_double("r", 0), std::invalid_argument)
+        << flag;
+  }
 }
 
 TEST(FlagsTest, Positionals) {

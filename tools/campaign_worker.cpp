@@ -21,6 +21,7 @@
 #include "scenario/sink.hpp"
 #include "util/build_info.hpp"
 #include "util/flags.hpp"
+#include "util/parse_number.hpp"
 
 int main(int argc, char** argv) {
   using namespace cobra;
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::int64_t port = 0;
-  if (!scenario::parse_spec_int(connect.substr(colon + 1), port) ||
+  if (!parse_integer(connect.substr(colon + 1), port) ||
       port < 1 || port > 65535) {
     std::fprintf(stderr, "error: invalid port in '%s'\n", connect.c_str());
     return 1;

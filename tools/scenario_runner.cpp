@@ -30,6 +30,7 @@
 #include "sim/batched.hpp"
 #include "util/build_info.hpp"
 #include "util/flags.hpp"
+#include "util/parse_number.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -110,7 +111,7 @@ bool parse_host_port(const std::string& value, std::string& host,
     return false;
   }
   std::int64_t parsed = 0;
-  if (!parse_spec_int(value.substr(colon + 1), parsed) || parsed < 1 ||
+  if (!parse_integer(value.substr(colon + 1), parsed) || parsed < 1 ||
       parsed > 65535) {
     return false;
   }
@@ -150,8 +151,6 @@ int main(int argc, char** argv) {
   const bool have_progress = flags.has("progress");
   // Bare --progress means the default 2s heartbeat interval.
   const std::string progress_value = flags.get("progress", "");
-  const double progress_interval =
-      progress_value.empty() ? 2.0 : flags.get_double("progress", 0.0);
   const bool have_status = flags.has("status");
   const std::string status_value = flags.get("status", "1");
   const bool have_trace = flags.has("trace");
@@ -263,12 +262,16 @@ int main(int argc, char** argv) {
     }
     if (threads >= 0) spec.set("campaign", "threads", std::to_string(threads));
     if (batch >= 0) spec.set("engine", "batch", std::to_string(batch));
+    // --progress goes through [telemetry] progress and its range check.
+    if (have_progress) {
+      spec.set("telemetry", "progress",
+               progress_value.empty() ? "2" : progress_value);
+    }
 
     CampaignPlan plan = plan_campaign(spec);
     if (plan.output.empty()) plan.output = default_stem(spec_path);
     // Flags override the [telemetry] section after planning — telemetry
     // is out of band, so this cannot change the fingerprint or results.
-    if (have_progress) plan.telemetry.progress_interval = progress_interval;
     if (have_status) {
       parse_telemetry_sink(status_value, plan.telemetry.status,
                            plan.telemetry.status_path);
@@ -393,7 +396,7 @@ int main(int argc, char** argv) {
       // their result frames; sinks come out byte-identical to a local run.
       std::int64_t port_value = 0;
       if (!serve_value.empty() &&
-          (!parse_spec_int(serve_value, port_value) || port_value < 0 ||
+          (!parse_integer(serve_value, port_value) || port_value < 0 ||
            port_value > 65535)) {
         std::fprintf(stderr,
                      "error: --serve expects a port (0 or omitted = "
