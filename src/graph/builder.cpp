@@ -138,45 +138,79 @@ class ScratchLease {
   std::unique_ptr<BuildScratch> scratch_;
 };
 
+/// Compare-exchange on locals: both values are loaded before either
+/// store, so GCC emits two cmovs. (std::min/std::max through references
+/// into the list compiled to a compare-and-branch.)
 inline void compare_swap(Vertex& a, Vertex& b) {
-  const Vertex lo = std::min(a, b);
-  const Vertex hi = std::max(a, b);
-  a = lo;
-  b = hi;
+  const Vertex x = a;
+  const Vertex y = b;
+  a = x < y ? x : y;
+  b = x < y ? y : x;
+}
+
+/// Sorts a list of exactly D (2..8) neighbours with the optimal
+/// 19-comparator, depth-6 network for 8 inputs (Knuth, TAOCP 5.3.4), run
+/// over locals. The D real entries are padded with ~0, which sorts last,
+/// so the first D outputs are the real entries in order. The compiler
+/// folds every comparator that meets a sentinel, leaving D = 2..7 with
+/// 1, 3, 5, 9, 12 and 16 compare-exchanges, each the optimal count.
+/// Returns true if two of the D entries are equal.
+template <std::size_t D>
+bool sort_network(Vertex* list) {
+  Vertex a[8];
+  for (std::size_t i = 0; i < 8; ++i) a[i] = i < D ? list[i] : ~Vertex{0};
+  compare_swap(a[0], a[2]);
+  compare_swap(a[1], a[3]);
+  compare_swap(a[4], a[6]);
+  compare_swap(a[5], a[7]);
+  compare_swap(a[0], a[4]);
+  compare_swap(a[1], a[5]);
+  compare_swap(a[2], a[6]);
+  compare_swap(a[3], a[7]);
+  compare_swap(a[0], a[1]);
+  compare_swap(a[2], a[3]);
+  compare_swap(a[4], a[5]);
+  compare_swap(a[6], a[7]);
+  compare_swap(a[2], a[4]);
+  compare_swap(a[3], a[5]);
+  compare_swap(a[1], a[4]);
+  compare_swap(a[3], a[6]);
+  compare_swap(a[1], a[2]);
+  compare_swap(a[3], a[4]);
+  compare_swap(a[5], a[6]);
+  bool dup = false;
+  for (std::size_t i = 0; i + 1 < D; ++i) dup |= a[i] == a[i + 1];
+  for (std::size_t i = 0; i < D; ++i) list[i] = a[i];
+  return dup;
 }
 
 /// Sorts a neighbour list and reports whether it contains a duplicate.
-/// Lists are typically tiny (the degree), where insertion sort beats
-/// introsort's setup; the duplicate check rides on the insertion
-/// comparisons instead of a separate adjacent_find pass over the whole
-/// adjacency (which low-degree families feel: at degree 4 that pass is a
-/// full extra 2m scan). Large lists fall through to std::sort +
-/// adjacent_find.
+/// Degrees 2..8 (every lattice family, random 8-regular expanders) run a
+/// branch-free sorting network: insertion sort's data-dependent branches
+/// mispredict on random neighbours, and at 2^17 vertices of degree 8 that
+/// was half of random_regular's build time. Degrees 9..32 use insertion
+/// sort, where the duplicate check rides on the insertion comparisons
+/// instead of a separate adjacent_find pass; larger lists fall through to
+/// std::sort + adjacent_find.
 inline bool sort_neighbours(Vertex* first, Vertex* last) {
-  // Branchless sorting networks for the tiny degrees lattice families are
-  // made of (the 2D torus is all degree 4): insertion sort's data-dependent
-  // branches mispredict on random neighbours, and at 4M vertices per
-  // instance that shows up in the assembly wall time.
   switch (last - first) {
     case 0:
     case 1:
       return false;
     case 2:
-      compare_swap(first[0], first[1]);
-      return first[0] == first[1];
+      return sort_network<2>(first);
     case 3:
-      compare_swap(first[0], first[1]);
-      compare_swap(first[0], first[2]);
-      compare_swap(first[1], first[2]);
-      return first[0] == first[1] || first[1] == first[2];
+      return sort_network<3>(first);
     case 4:
-      compare_swap(first[0], first[1]);
-      compare_swap(first[2], first[3]);
-      compare_swap(first[0], first[2]);
-      compare_swap(first[1], first[3]);
-      compare_swap(first[1], first[2]);
-      return first[0] == first[1] || first[1] == first[2] ||
-             first[2] == first[3];
+      return sort_network<4>(first);
+    case 5:
+      return sort_network<5>(first);
+    case 6:
+      return sort_network<6>(first);
+    case 7:
+      return sort_network<7>(first);
+    case 8:
+      return sort_network<8>(first);
     default:
       break;
   }

@@ -98,11 +98,12 @@ class GraphBuilder {
 };
 
 namespace detail {
-/// The builder's canonical per-vertex neighbour sort (sorting networks for
-/// tiny degrees, insertion sort mid-range, std::sort above), exposed for
-/// the out-of-core shard assembler (graph/stream.cpp), so streamed CSR
-/// bytes match in-core builds exactly, and for random_regular's slot CSR.
-/// Returns true if the sorted range contains a duplicate.
+/// The builder's canonical per-vertex neighbour sort (branch-free sorting
+/// networks for degrees 2..8, insertion sort for 9..32, std::sort above),
+/// exposed for the out-of-core shard assembler (graph/stream.cpp), so
+/// streamed CSR bytes match in-core builds exactly, and for
+/// random_regular's slot CSR. Returns true if the sorted range contains a
+/// duplicate.
 bool sort_neighbour_list(Vertex* first, Vertex* last);
 }  // namespace detail
 

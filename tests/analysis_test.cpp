@@ -3,10 +3,15 @@
 // Unit tests for graph analysis: connectivity, bipartiteness, distances.
 #include "graph/analysis.hpp"
 
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "rand/rng.hpp"
+#include "rand/sampling.hpp"
 
 namespace cobra {
 namespace {
@@ -34,6 +39,34 @@ TEST(Connectivity, IsolatedVerticesCount) {
   builder.add_edge(0, 1);
   const Graph g = builder.build("mostly_isolated");
   EXPECT_EQ(count_components(g), 4u);
+}
+
+TEST(Connectivity, CountsComponentsLargerThanThePrefetchDistance) {
+  // Disjoint random 8-regular graphs of different sizes (each past the
+  // BFS's 8-slot prefetch distance) plus isolated vertices, with the
+  // vertex ids shuffled so the components interleave.
+  Rng rng(20261020);
+  const std::vector<std::size_t> sizes{10, 64, 1000, 4096};
+  constexpr std::size_t kIsolated = 7;
+  std::size_t n = kIsolated;
+  for (const std::size_t size : sizes) n += size;
+  std::vector<Vertex> label(n);
+  for (std::size_t v = 0; v < n; ++v) label[v] = static_cast<Vertex>(v);
+  shuffle(std::span<Vertex>(label), rng);
+  GraphBuilder builder(n);
+  std::size_t first = 0;
+  for (const std::size_t size : sizes) {
+    const Graph part = gen::connected_random_regular(size, 8, rng);
+    for (Vertex v = 0; v < size; ++v) {
+      for (const Vertex w : part.neighbors(v)) {
+        if (v < w) builder.add_edge(label[first + v], label[first + w]);
+      }
+    }
+    first += size;
+  }
+  const Graph g = builder.build("regular_parts_and_isolates");
+  EXPECT_EQ(count_components(g), sizes.size() + kIsolated);
+  EXPECT_FALSE(is_connected(g));
 }
 
 TEST(Connectivity, SingletonAndEmptyAreConnected) {

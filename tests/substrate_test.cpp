@@ -320,6 +320,73 @@ TEST(ParallelBuild, AddEdgesChunkedValidatesAndKeepsEmitOrderSemantics) {
   EXPECT_TRUE(GraphsIdentical(a, b));
 }
 
+// ---- the per-vertex neighbour sort ----
+
+/// detail::sort_neighbour_list must leave `list` in std::sort's order and
+/// report a duplicate exactly when std::adjacent_find finds one.
+::testing::AssertionResult SortsLikeStdSort(std::vector<Vertex> list) {
+  std::vector<Vertex> expected = list;
+  std::sort(expected.begin(), expected.end());
+  const bool expected_dup =
+      std::adjacent_find(expected.begin(), expected.end()) != expected.end();
+  const bool dup =
+      detail::sort_neighbour_list(list.data(), list.data() + list.size());
+  if (list != expected) {
+    return ::testing::AssertionFailure()
+           << "order differs at length " << list.size();
+  }
+  if (dup != expected_dup) {
+    return ::testing::AssertionFailure()
+           << "duplicate flag " << dup << " at length " << list.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SortNeighbourList, MatchesStdSortAtEveryLengthUpTo40) {
+  // Covers the sorting networks (2..8), insertion sort (9..32) and
+  // std::sort (33..40), with values up to 0xFFFFFFFE, one below the ~0
+  // the networks pad short lists with.
+  constexpr std::uint64_t kValues = 0xFFFFFFFFull;  // draws in [0, 2^32 - 2]
+  Rng rng(20261020);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::vector<Vertex> list(len);
+    for (int rep = 0; rep < 64; ++rep) {
+      // Distinct-ish values over the whole range, then few distinct values
+      // (many duplicates), each half of the time near the top of the range.
+      const std::uint64_t range = rep % 2 == 0 ? kValues : 1 + len / 3;
+      const std::uint64_t base = rep % 4 < 2 ? 0 : kValues - range;
+      for (Vertex& x : list) {
+        x = static_cast<Vertex>(base + rng.next_below(range));
+      }
+      ASSERT_TRUE(SortsLikeStdSort(list)) << "rep " << rep;
+    }
+    // A duplicate at every adjacent position of the sorted output: strictly
+    // increasing values with pair (i, i+1) made equal, then shuffled.
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      Vertex next = 0;
+      for (Vertex& x : list) {
+        next += 1 + static_cast<Vertex>(rng.next_below(1u << 20));
+        x = next;
+      }
+      for (Vertex& x : list) x += static_cast<Vertex>(kValues - 1 - next);
+      list[i + 1] = list[i];
+      shuffle(std::span<Vertex>(list), rng);
+      ASSERT_TRUE(SortsLikeStdSort(list)) << "duplicate at " << i;
+    }
+    // Zero-one principle: a compare-exchange network that sorts every 0/1
+    // input sorts every input. Exhaustive over the network lengths, with
+    // 1 mapped to the largest vertex id.
+    if (len <= 8) {
+      for (std::uint32_t bits = 0; bits < (1u << len); ++bits) {
+        for (std::size_t j = 0; j < len; ++j) {
+          list[j] = (bits >> j & 1) != 0 ? 0xFFFFFFFEu : 0u;
+        }
+        ASSERT_TRUE(SortsLikeStdSort(list)) << "bits " << bits;
+      }
+    }
+  }
+}
+
 // ---- generator parity vs exact oracles ----
 
 TEST(GeneratorParity, RandomRegularDegreeSequenceExact) {
