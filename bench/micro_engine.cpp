@@ -10,6 +10,7 @@
 //                  [--threads T] [--out BENCH_engine.json]
 #include <cstdio>
 #include <functional>
+#include <iostream>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -158,6 +159,12 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(std::thread::hardware_concurrency())));
   const std::string out_path = flags.get("out", "BENCH_engine.json");
   const auto trials_flag = flags.get_int("trials", 0);
+  if (flags.help_requested()) {
+    std::printf("usage: micro_engine [flags]\n\nflags:\n");
+    flags.print_help(std::cout);
+    return 0;
+  }
+  flags.warn_unconsumed(std::cerr);
 
   const std::size_t n = scale.pick<std::size_t>(1u << 14, 1u << 16, 1u << 18);
   const std::size_t side = scale.pick<std::size_t>(128, 256, 512);
@@ -309,9 +316,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  for (const auto& name : flags.unconsumed()) {
-    std::fprintf(stderr, "warning: unrecognized flag --%s\n", name.c_str());
-  }
   return 0;
 }

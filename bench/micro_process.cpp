@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <memory>
 #include <new>
 #include <optional>
@@ -333,6 +334,15 @@ int main(int argc, char** argv) {
                scale.pick<std::size_t>(1u << 11, 1u << 13, 1u << 15))));
   const auto trials = static_cast<std::size_t>(flags.get_int(
       "trials", static_cast<std::int64_t>(scale.pick<std::size_t>(8, 12, 16))));
+  const auto batch = static_cast<std::size_t>(flags.get_int("batch", 32));
+  const double overhead_limit =
+      flags.get_double("telemetry-overhead-pct", 3.0) / 100.0;
+  if (flags.help_requested()) {
+    std::printf("usage: micro_process [flags]\n\nflags:\n");
+    flags.print_help(std::cout);
+    return 0;
+  }
+  flags.warn_unconsumed(std::cerr);
 
   Rng graph_rng(seed);
   const Graph g = gen::connected_random_regular(n, 8, graph_rng);
@@ -397,7 +407,6 @@ int main(int argc, char** argv) {
   // Batched-engine gate: after the warm-up block, every run_block of the
   // lockstep engine must be allocation-free too (curve recording off, the
   // campaign hot path). Nonzero steady allocations fail the exit status.
-  const auto batch = static_cast<std::size_t>(flags.get_int("batch", 32));
   const std::size_t blocks = trials;  // same steady-state depth as above
   std::printf("%-16s %9s %12s %14s %12s\n", "batched[B]", "blocks",
               "rounds/sec", "steady allocs", "warm allocs");
@@ -428,8 +437,6 @@ int main(int argc, char** argv) {
   // Telemetry-overhead gate: <= --telemetry-overhead-pct (default 3) and
   // zero steady-state allocations with the full per-trial instrumentation
   // attached, or the bench exits nonzero.
-  const double overhead_limit =
-      flags.get_double("telemetry-overhead-pct", 3.0) / 100.0;
   // 10x the trials: a leg must run long enough (several ms) for the min
   // over reps to resolve a 3% difference on a shared host.
   const TelemetryBench telemetry =
@@ -527,9 +534,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-
-  for (const auto& name : flags.unconsumed()) {
-    std::fprintf(stderr, "warning: unrecognized flag --%s\n", name.c_str());
-  }
   return all_zero && legs_agree && batched_zero && telemetry_ok ? 0 : 1;
 }

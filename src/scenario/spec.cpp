@@ -21,6 +21,16 @@ std::string_view trim(std::string_view text) {
   return text;
 }
 
+/// Concatenates string pieces by appending. GCC 12 reports a false
+/// -Wrestrict overlap in `"literal" + std::string(...)`, which inserts at
+/// the front of a temporary; appends to one string do not trip it.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
+
 [[noreturn]] void fail_at(const std::string& source, std::size_t line,
                           const std::string& message) {
   throw SpecError(source + ":" + std::to_string(line) + ": " + message);
@@ -89,7 +99,7 @@ ScenarioSpec ScenarioSpec::parse(std::istream& is, std::string source) {
     }
     if (current == nullptr) {
       fail_at(spec.source_, line_no,
-              "'" + std::string(key) + "' appears before any [section]");
+              concat("'", key, "' appears before any [section]"));
     }
     if (current->find(key) != nullptr) {
       fail_at(spec.source_, line_no,
@@ -182,7 +192,7 @@ std::int64_t ScenarioSpec::get_int(std::string_view section_name,
   const SpecEntry* entry = sec != nullptr ? sec->find(key) : nullptr;
   if (entry == nullptr) return fallback;
   return parse_int(source_, entry->line, entry->value,
-                   "[" + std::string(section_name) + "] " + std::string(key));
+                   concat("[", section_name, "] ", key));
 }
 
 double ScenarioSpec::get_double(std::string_view section_name,
@@ -193,8 +203,8 @@ double ScenarioSpec::get_double(std::string_view section_name,
   double value = 0.0;
   if (!parse_number(entry->value, value)) {
     fail_at(source_, entry->line,
-            "[" + std::string(section_name) + "] " + std::string(key) +
-                " expects a number, got '" + entry->value + "'");
+            concat("[", section_name, "] ", key, " expects a number, got '",
+                   entry->value, "'"));
   }
   return value;
 }

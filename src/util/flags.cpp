@@ -137,8 +137,8 @@ void Flags::print_help(std::ostream& os) const {
   for (const auto& query : sorted) {
     std::string left = "  --" + query.name;
     if (query.kind != "flag") left += " <" + query.kind + ">";
-    os << left;
-    for (std::size_t pad = left.size(); pad < 28; ++pad) os << ' ';
+    // Column 28, or one space after a longer name.
+    os << left << std::string(left.size() < 28 ? 28 - left.size() : 1, ' ');
     if (query.kind == "flag") {
       os << "(boolean switch)";
     } else {
