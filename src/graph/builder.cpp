@@ -138,9 +138,9 @@ class ScratchLease {
   std::unique_ptr<BuildScratch> scratch_;
 };
 
-/// Compare-exchange on locals: both values are loaded before either
-/// store, so GCC emits two cmovs. (std::min/std::max through references
-/// into the list compiled to a compare-and-branch.)
+/// Compare-exchange that loads both values before either store, so GCC
+/// emits two cmovs; std::min/std::max through the references compiles to
+/// a compare-and-branch.
 inline void compare_swap(Vertex& a, Vertex& b) {
   const Vertex x = a;
   const Vertex y = b;
@@ -186,9 +186,8 @@ bool sort_network(Vertex* list) {
 
 /// Sorts a neighbour list and reports whether it contains a duplicate.
 /// Degrees 2..8 (every lattice family, random 8-regular expanders) run a
-/// branch-free sorting network: insertion sort's data-dependent branches
-/// mispredict on random neighbours, and at 2^17 vertices of degree 8 that
-/// was half of random_regular's build time. Degrees 9..32 use insertion
+/// branch-free sorting network, as insertion sort's data-dependent
+/// branches mispredict on random neighbours. Degrees 9..32 use insertion
 /// sort, where the duplicate check rides on the insertion comparisons
 /// instead of a separate adjacent_find pass; larger lists fall through to
 /// std::sort + adjacent_find.

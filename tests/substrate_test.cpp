@@ -351,8 +351,8 @@ TEST(SortNeighbourList, MatchesStdSortAtEveryLengthUpTo40) {
   for (std::size_t len = 0; len <= 40; ++len) {
     std::vector<Vertex> list(len);
     for (int rep = 0; rep < 64; ++rep) {
-      // Distinct-ish values over the whole range, then few distinct values
-      // (many duplicates), each half of the time near the top of the range.
+      // Values over the whole range, and few distinct values (many
+      // duplicates) at the bottom or at the top of the range.
       const std::uint64_t range = rep % 2 == 0 ? kValues : 1 + len / 3;
       const std::uint64_t base = rep % 4 < 2 ? 0 : kValues - range;
       for (Vertex& x : list) {
