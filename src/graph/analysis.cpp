@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <queue>
-#include <span>
 
 namespace cobra {
 
@@ -15,16 +14,17 @@ constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
 /// block: the BFS's block reads are random, so without it every vertex
 /// waits out a cache miss.
 constexpr std::size_t kPrefetchAhead = 8;
+}  // namespace
 
-/// FIFO BFS from every unseen vertex. The queue is not zero-filled (each
-/// slot is written before it is read), and it holds one spare slot: a
-/// neighbour is written at the tail unconditionally and the tail moves
-/// only if it was unseen, so the enqueue does not branch.
-template <typename Offset>
-std::size_t count_components_csr(std::span<const Offset> offsets,
-                                 std::span<const Vertex> adjacency) {
-  const std::size_t n = offsets.size() - 1;
-  const Vertex* adj = adjacency.data();
+bool is_connected(const Graph& g) { return count_components(g) <= 1; }
+
+std::size_t count_components(const Graph& g) {
+  // FIFO BFS from every unseen vertex. The queue is not zero-filled (each
+  // slot is written before it is read), and it holds one spare slot: a
+  // neighbour is written at the tail unconditionally and the tail moves
+  // only if it was unseen, so the enqueue does not branch.
+  const std::size_t n = g.num_vertices();
+  const Vertex* adj = g.adjacency().data();
   std::vector<char> seen(n, 0);
   const auto queue = std::make_unique_for_overwrite<Vertex[]>(n + 1);
   std::size_t components = 0;
@@ -36,11 +36,9 @@ std::size_t count_components_csr(std::span<const Offset> offsets,
     std::size_t tail = 1;
     for (std::size_t head = 0; head < tail; ++head) {
       if (head + kPrefetchAhead < tail) {
-        __builtin_prefetch(adj + offsets[queue[head + kPrefetchAhead]]);
+        __builtin_prefetch(adj + g.offset(queue[head + kPrefetchAhead]));
       }
-      const Vertex v = queue[head];
-      for (Offset i = offsets[v]; i < offsets[v + 1]; ++i) {
-        const Vertex w = adj[i];
+      for (const Vertex w : g.neighbors(queue[head])) {
         queue[tail] = w;
         tail += seen[w] == 0;
         seen[w] = 1;
@@ -48,17 +46,6 @@ std::size_t count_components_csr(std::span<const Offset> offsets,
     }
   }
   return components;
-}
-
-}  // namespace
-
-bool is_connected(const Graph& g) { return count_components(g) <= 1; }
-
-std::size_t count_components(const Graph& g) {
-  if (g.num_vertices() == 0) return 0;
-  return g.offsets_are_wide()
-             ? count_components_csr(g.offsets64(), g.adjacency())
-             : count_components_csr(g.offsets32(), g.adjacency());
 }
 
 bool is_bipartite(const Graph& g) {
