@@ -185,8 +185,8 @@ bool sort_network(Vertex* list) {
 }
 
 /// Sorts a neighbour list and reports whether it contains a duplicate.
-/// Degrees 2..8 (every lattice family, random 8-regular expanders) run a
-/// branch-free sorting network, as insertion sort's data-dependent
+/// Degrees 2..8 (2D and 3D tori and grids, random 8-regular expanders)
+/// run a branch-free sorting network, as insertion sort's data-dependent
 /// branches mispredict on random neighbours. Degrees 9..32 use insertion
 /// sort, where the duplicate check rides on the insertion comparisons
 /// instead of a separate adjacent_find pass; larger lists fall through to
