@@ -109,8 +109,12 @@ void validate_csr(const std::string& path, std::uint64_t n,
   for (std::uint64_t v = 0; v < n; ++v) {
     const Offset begin = offsets[v];
     const Offset end = offsets[v + 1];
-    if (begin > end) bad_file(path, "offsets not monotone at vertex " +
-                                        std::to_string(v));
+    // Bounds before contents: no neighbour of v is read until its block
+    // is known to lie inside the adjacency array.
+    if (begin > end || end > endpoints) {
+      bad_file(path, "offsets not monotone within the adjacency length at "
+                     "vertex " + std::to_string(v));
+    }
     for (Offset i = begin; i < end; ++i) {
       const Vertex w = adjacency[i];
       if (w >= n) bad_file(path, "neighbour out of range at vertex " +
