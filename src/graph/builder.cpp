@@ -8,7 +8,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "sim/thread_pool.hpp"
@@ -497,6 +496,8 @@ template <typename Offset>
 Graph assemble(std::size_t n, const std::vector<std::pair<Vertex, Vertex>>& edges,
                std::string name, bool allow_duplicates, BuildPool& pool) {
   CsrArrays<Offset> arrays = scatter_csr_dispatch<Offset>(n, edges, pool);
+  std::optional<Graph::DegreeRange> degrees =
+      Graph::DegreeRange{arrays.min_degree, arrays.max_degree};
   if (arrays.has_duplicate) {
     if (!allow_duplicates) {
       const auto [u, v] = first_duplicate(arrays, n);
@@ -505,18 +506,10 @@ Graph assemble(std::size_t n, const std::vector<std::pair<Vertex, Vertex>>& edge
           "} in graph '" + name + "'");
     }
     compact_unique(arrays, n, pool);
-    // Compaction changed degrees; fall back to the rescanning constructor.
-    if constexpr (std::is_same_v<Offset, std::uint32_t>) {
-      return Graph(std::move(arrays.offsets), std::move(arrays.adjacency),
-                   std::move(name));
-    } else {
-      return Graph(std::vector<std::size_t>(arrays.offsets.begin(),
-                                            arrays.offsets.end()),
-                   std::move(arrays.adjacency), std::move(name));
-    }
+    degrees.reset();  // compaction changed degrees; the constructor scans
   }
   return Graph(std::move(arrays.offsets), std::move(arrays.adjacency),
-               std::move(name), arrays.min_degree, arrays.max_degree);
+               std::move(name), degrees);
 }
 
 Graph assemble_dispatch(std::size_t n,

@@ -134,7 +134,8 @@ class SlotGraph {
     for (std::size_t v = 0; v <= n_; ++v) {
       offsets[v] = static_cast<std::uint32_t>(v * r_);
     }
-    return Graph(std::move(offsets), std::move(adj_), std::move(name), r_, r_);
+    return Graph(std::move(offsets), std::move(adj_), std::move(name),
+                 Graph::DegreeRange{r_, r_});
   }
 
  private:

@@ -17,8 +17,12 @@
 //    sparse instances are offset-dominated (offsets are n+1 entries vs 2m
 //    adjacency entries). Hot loops that want raw pointers branch once on
 //    offsets_are_wide(); everything else goes through degree()/neighbors().
-//  * The structure is immutable after construction (value semantics,
-//    cheap moves). Processes keep their mutable state outside the graph.
+//  * One storage model: every array is a read-only view over memory held
+//    by one shared, immutable backing handle — the vectors the graph took
+//    over at construction, or map_cgr's file mapping (graph/io.hpp). A
+//    copy shares the arrays (the compiler writes copy and move), so
+//    copying a graph costs two reference counts whatever its size.
+//    Processes keep their mutable state outside the graph.
 //  * Multi-edges and self-loops are rejected at build time: the paper's
 //    processes are defined on simple graphs, and "select k neighbours
 //    uniformly" is only unambiguous when the neighbourhood is a set.
@@ -34,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,37 +99,31 @@ constexpr bool csr_offsets_fit_32bit(std::uint64_t endpoints) noexcept {
 
 class Graph {
  public:
-  /// Empty graph (0 vertices). Mostly useful as a placeholder target.
-  Graph() { bind_owned(); }
+  /// Degree extrema a constructor may be given instead of scanning the
+  /// offsets (the builder's prefix pass and random_regular know them).
+  struct DegreeRange {
+    std::size_t min = 0;
+    std::size_t max = 0;
+  };
 
-  /// Constructs from CSR arrays. offsets.size() == n+1,
-  /// adjacency.size() == offsets[n] == 2m, neighbour lists sorted.
-  /// Validation of these invariants lives in GraphBuilder; this constructor
-  /// trusts its inputs and is intended to be called via the builder.
-  /// Offsets are narrowed to 32-bit storage when 2m < 2^32.
-  Graph(std::vector<std::size_t> offsets, std::vector<Vertex> adjacency,
-        std::string name);
+  /// Empty graph: one zero offset, no vertices.
+  Graph();
 
-  /// Direct narrow-offset constructor: the parallel builder and the binary
-  /// loader produce 32-bit offsets natively, skipping the widen/narrow
-  /// round-trip.
+  /// Takes over owned CSR arrays: offsets.size() == n+1,
+  /// adjacency.size() == offsets[n] == 2m, neighbour lists sorted. The
+  /// inputs are trusted (GraphBuilder and the loaders establish the
+  /// invariants); `degrees`, when given, replaces the O(n) degree scan.
+  /// The u64 form narrows the offsets to u32 storage when 2m < 2^32.
   Graph(std::vector<std::uint32_t> offsets, std::vector<Vertex> adjacency,
-        std::string name);
-
-  /// Builder fast paths: precomputed degree extrema (the parallel
-  /// assembly's prefix pass tracks them for free) skip the constructor's
-  /// O(n) rescan. Trusted like the other CSR inputs.
-  Graph(std::vector<std::uint32_t> offsets, std::vector<Vertex> adjacency,
-        std::string name, std::size_t min_degree, std::size_t max_degree);
+        std::string name, std::optional<DegreeRange> degrees = std::nullopt);
   Graph(std::vector<std::uint64_t> offsets, std::vector<Vertex> adjacency,
-        std::string name, std::size_t min_degree, std::size_t max_degree);
+        std::string name, std::optional<DegreeRange> degrees = std::nullopt);
 
-  /// Borrowed-storage constructors (zero-copy .cgr loading): the spans
-  /// view memory owned by `backing` — typically an mmap'd file image —
-  /// which the graph keeps alive through its shared handle. Inputs are
-  /// trusted like the other CSR constructors (map_cgr validates the full
-  /// invariant set over the mapping before calling); `weights` may be
-  /// empty. offsets.size() must be n+1 >= 1.
+  /// Borrowed storage (zero-copy .cgr loading): the spans view memory
+  /// held by `backing` — map_cgr's file image — which the graph keeps
+  /// alive. Trusted like the owned constructors (map_cgr validates the
+  /// full invariant set over the mapping first); `weights` may be empty.
+  /// offsets.size() must be n+1 >= 1.
   Graph(std::span<const std::uint32_t> offsets,
         std::span<const Vertex> adjacency, std::span<const float> weights,
         std::shared_ptr<const void> backing, std::string name);
@@ -135,23 +134,14 @@ class Graph {
   /// Copy of `other` carrying a different display name (metadata only).
   Graph(const Graph& other, std::string name);
 
-  // Value semantics with view fixup: a copied graph's spans must point at
-  // its *own* vectors (or at the shared mapping), never at the source's.
-  // Moves steal the vector buffers, so the views stay valid as-is.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&& other) noexcept = default;
-  Graph& operator=(Graph&& other) noexcept = default;
-  ~Graph() = default;
-
   std::size_t num_vertices() const noexcept { return num_vertices_; }
 
   /// Number of undirected edges m (adjacency stores 2m endpoints).
-  std::size_t num_edges() const noexcept { return adj_view_.size() / 2; }
+  std::size_t num_edges() const noexcept { return adj_.size() / 2; }
 
   /// CSR offset of v's neighbour block (v in [0, n]).
   std::size_t offset(Vertex v) const noexcept {
-    return wide_ ? off64_view_[v] : off32_view_[v];
+    return wide_ ? off64_[v] : off32_[v];
   }
 
   std::size_t degree(Vertex v) const noexcept {
@@ -161,13 +151,13 @@ class Graph {
   /// Sorted neighbour list of v.
   std::span<const Vertex> neighbors(Vertex v) const noexcept {
     const std::size_t begin = offset(v);
-    return {adj_view_.data() + begin, offset(v + 1) - begin};
+    return {adj_.data() + begin, offset(v + 1) - begin};
   }
 
   /// The i-th neighbour of v (0 <= i < degree(v)); the process engines'
   /// "choose a uniform neighbour" is neighbor(v, rng.next_below(degree)).
   Vertex neighbor(Vertex v, std::size_t i) const noexcept {
-    return adj_view_[offset(v) + i];
+    return adj_[offset(v) + i];
   }
 
   /// True if {u, v} is an edge. O(log degree) binary search.
@@ -195,78 +185,64 @@ class Graph {
   bool offsets_are_wide() const noexcept { return wide_; }
 
   std::span<const std::uint32_t> offsets32() const noexcept {
-    return off32_view_;
+    return off32_;
   }
   std::span<const std::uint64_t> offsets64() const noexcept {
-    return off64_view_;
+    return off64_;
   }
 
-  std::span<const Vertex> adjacency() const noexcept { return adj_view_; }
+  std::span<const Vertex> adjacency() const noexcept { return adj_; }
 
   /// Bytes per stored offset entry (4 or 8).
   std::size_t offset_bytes() const noexcept { return wide_ ? 8 : 4; }
 
   /// Logical bytes of the CSR arrays (offsets + adjacency + weights when
-  /// present), whether they live in owned vectors or a mapping. For an
-  /// owned graph this equals resident_bytes(); campaigns that want honest
-  /// per-job RAM numbers split it as resident_bytes() + mapped_bytes().
+  /// present), whether they are owned or mapped; campaigns that want
+  /// honest per-job RAM numbers split it as resident_bytes() +
+  /// mapped_bytes().
   std::size_t memory_bytes() const noexcept {
     return (num_vertices_ + 1) * offset_bytes() +
-           adj_view_.size() * sizeof(Vertex) + w_view_.size() * sizeof(float);
+           adj_.size() * sizeof(Vertex) + w_.size() * sizeof(float);
   }
 
-  // ---- borrowed (mapped) vs owned storage ----
+  // ---- mapped vs owned storage ----
 
-  /// True when the CSR arrays are views over an externally owned mapping
-  /// (zero-copy map_cgr load) rather than owned vectors.
-  bool is_mapped() const noexcept { return backing_ != nullptr; }
+  /// True when the CSR arrays view a file mapping (map_cgr) rather than
+  /// arrays the graph took over at construction.
+  bool is_mapped() const noexcept { return mapped_; }
 
-  /// Bytes of CSR arrays held in this graph's own vectors — what this
-  /// instance actually allocates. A mapped graph contributes ~0 here (its
-  /// arrays are kernel-backed file pages) unless weights were re-attached
-  /// as an owned array later.
-  std::size_t resident_bytes() const noexcept {
-    std::size_t bytes = 0;
-    if (off32_view_.data() == offsets32_.data()) {
-      bytes += off32_view_.size() * sizeof(std::uint32_t);
-    }
-    if (off64_view_.data() == offsets64_.data()) {
-      bytes += off64_view_.size() * sizeof(std::uint64_t);
-    }
-    if (adj_view_.data() == adjacency_.data()) {
-      bytes += adj_view_.size() * sizeof(Vertex);
-    }
-    if (!w_view_.empty() && w_view_.data() == weights_.data()) {
-      bytes += w_view_.size() * sizeof(float);
-    }
-    return bytes;
-  }
+  /// Bytes of the arrays this graph's storage holds in RAM: the owned CSR
+  /// arrays plus attach_weights' array. A mapped graph contributes ~0
+  /// here (its arrays are kernel-backed file pages) unless weights were
+  /// attached later. Copies share the arrays and report the same value.
+  std::size_t resident_bytes() const noexcept;
 
-  /// Bytes of CSR arrays viewed through the shared mapping (0 when owned).
+  /// Bytes of CSR arrays viewed through the file mapping (0 when owned).
   std::size_t mapped_bytes() const noexcept {
     return memory_bytes() - resident_bytes();
   }
 
-  // ---- edge weights (optional; empty vector when unweighted) ----
+  // ---- edge weights (optional; empty when unweighted) ----
 
   /// True when a CSR-aligned weight array is attached (8m bytes; an edgeless
   /// graph is never weighted).
-  bool is_weighted() const noexcept { return !w_view_.empty(); }
+  bool is_weighted() const noexcept { return !w_.empty(); }
 
   /// CSR-aligned weights: weights()[offset(v)+i] is the weight of the edge
   /// {v, neighbor(v,i)}. Empty for unweighted graphs.
-  std::span<const float> weights() const noexcept { return w_view_; }
+  std::span<const float> weights() const noexcept { return w_; }
 
   /// Weight of v's i-th edge (0 <= i < degree(v)); requires is_weighted().
   float weight(Vertex v, std::size_t i) const noexcept {
-    return w_view_[offset(v) + i];
+    return w_[offset(v) + i];
   }
 
   /// Attaches a CSR-aligned weight array (size 2m, every entry positive
   /// and finite; throws std::invalid_argument otherwise, naming the first
   /// bad slot). Part of construction — IO readers and the weight
-  /// generators call this once before the graph is shared; it resets the
-  /// alias-table cache.
+  /// generators call this once before the graph is shared. The array
+  /// lives in a fresh alias cell, so copies made before the call keep
+  /// their own weights (or none).
   void attach_weights(std::vector<float> weights);
 
   /// Per-vertex Vose alias tables over weights(), built lazily on first
@@ -275,73 +251,44 @@ class Graph {
   /// std::logic_error otherwise).
   const GraphAliasTables& alias_tables() const;
 
-  /// Copy without the weight array (and without the alias cache): feeds
-  /// unweighted baselines from weighted instances. Writing the stripped
-  /// copy as .cgr is byte-identical to a never-weighted build of the same
-  /// graph (same name).
+  /// Copy without the weights and the alias cell, sharing the CSR arrays:
+  /// feeds unweighted baselines from weighted instances. Writing the
+  /// stripped copy as .cgr is byte-identical to a never-weighted build of
+  /// the same graph (same name).
   Graph strip_weights() const;
 
  private:
-  void finish_stats();
-  void set_stats(std::size_t min_degree, std::size_t max_degree);
-  /// Points every view at the graph's own vectors (the owned-storage
-  /// default); borrowed constructors override the views afterwards.
-  void bind_owned() noexcept {
-    off32_view_ = offsets32_;
-    off64_view_ = offsets64_;
-    adj_view_ = adjacency_;
-    w_view_ = weights_;
-  }
-  /// Copy-construction view fixup: a view that aliased the *source's* own
-  /// vector must re-point at the corresponding copied vector; a view into
-  /// the shared mapping is carried over verbatim (the backing handle was
-  /// copied too).
-  void rebind_after_copy(const Graph& other) noexcept {
-    if (other.off32_view_.data() == other.offsets32_.data()) {
-      off32_view_ = offsets32_;
-    }
-    if (other.off64_view_.data() == other.offsets64_.data()) {
-      off64_view_ = offsets64_;
-    }
-    if (other.adj_view_.data() == other.adjacency_.data()) {
-      adj_view_ = adjacency_;
-    }
-    if (other.w_view_.data() == other.weights_.data()) {
-      w_view_ = weights_;
-    }
-  }
+  template <typename Offset>
+  void adopt(std::vector<Offset> offsets, std::vector<Vertex> adjacency,
+             std::optional<DegreeRange> degrees);
+  template <typename Offset>
+  void view(std::span<const Offset> offsets, std::span<const Vertex> adjacency,
+            std::span<const float> weights,
+            std::shared_ptr<const void> backing,
+            std::optional<DegreeRange> degrees);
 
-  // Width-adaptive offsets: offsets32_ holds the n+1 entries when
-  // 2m < 2^32 (wide_ == false), offsets64_ otherwise. The inactive vector
-  // stays empty.
-  std::vector<std::uint32_t> offsets32_{0};
-  std::vector<std::uint64_t> offsets64_;
-  std::vector<Vertex> adjacency_;
+  // The arrays every accessor reads (see offsets32()/offsets64()).
+  std::span<const std::uint32_t> off32_;
+  std::span<const std::uint64_t> off64_;
+  std::span<const Vertex> adj_;
   /// CSR-aligned edge weights; empty (zero overhead) when unweighted.
-  std::vector<float> weights_;
-  // The arrays every accessor actually reads: views over the owned
-  // vectors above (the common case, kept in sync by bind_owned) or over
-  // an external read-only mapping held alive by backing_. This is what
-  // makes zero-copy .cgr loading free for every consumer — engines,
-  // spectral kernels, and IO all read through the same spans either way.
-  std::span<const std::uint32_t> off32_view_;
-  std::span<const std::uint64_t> off64_view_;
-  std::span<const Vertex> adj_view_;
-  std::span<const float> w_view_;
-  /// Keeps the mapped file image alive for borrowed views; null when all
-  /// storage is owned.
+  std::span<const float> w_;
+  /// Holds the memory behind off32_/off64_/adj_ (and w_ when mapped):
+  /// the owned arrays or the file image. Shared by copies, never written.
   std::shared_ptr<const void> backing_;
-  /// Lazily-built alias tables, in a heap cell so the std::once_flag
-  /// survives Graph's value semantics: copies share the cell (same
-  /// immutable weights -> same tables), and attach_weights installs a
-  /// fresh one. Null while unweighted.
+  /// attach_weights' array and the lazily-built alias tables over the
+  /// weights, in one heap cell so the std::once_flag survives Graph's
+  /// value semantics: copies share the cell (same immutable weights ->
+  /// same tables), and attach_weights installs a fresh one. Null while
+  /// unweighted.
   std::shared_ptr<struct GraphAliasCell> alias_cell_;
-  std::string name_ = "empty";
+  std::string name_;
   std::size_t num_vertices_ = 0;
   std::size_t min_degree_ = 0;
   std::size_t max_degree_ = 0;
   int regularity_ = -1;
   bool wide_ = false;
+  bool mapped_ = false;
 };
 
 inline Vertex GraphAliasTables::draw(const Graph& g, Vertex v,

@@ -2,13 +2,12 @@
 //
 // Binary CSR (.cgr) reader/writer — see the format comment in io.hpp.
 //
-// Reading prefers mmap: read_cgr copies the kernel-backed pages once into
-// the Graph's vectors, map_cgr keeps the mapping itself as the graph's
-// storage (zero copies — the borrowed-span Graph mode). Platforms without
-// mmap fall back to streamed reads into one buffer, which then plays the
-// backing role. Every load validates the full CSR invariant set (and the
-// v3 shard table) before constructing a Graph, so a corrupt or truncated
-// file cannot produce out-of-bounds neighbour accesses later.
+// One load path: map_cgr maps the file (platforms without mmap read it
+// into one buffer instead), validates the full CSR invariant set and the
+// v3 shard table in one pass, and keeps the image as the graph's backing;
+// read_cgr is map_cgr followed by one copy into owned arrays. A corrupt or
+// truncated file therefore cannot produce out-of-bounds neighbour
+// accesses later, whichever loader read it.
 //
 // Writing has two paths that must stay byte-identical for the same
 // content: write_cgr() for in-core graphs, and CgrShardWriter for the
@@ -217,8 +216,7 @@ class FileImage {
 };
 
 /// Parses and sanity-checks the header (magic through shard table plus the
-/// total-size cross-check) — shared by read_cgr, map_cgr, and
-/// read_cgr_info. Array contents are NOT validated here.
+/// total-size cross-check) — shared by map_cgr and read_cgr_info. Array contents are NOT validated here.
 Header parse_header(const FileImage& image, const std::string& path) {
   char magic[8];
   image.copy(0, magic, 8);
@@ -386,44 +384,20 @@ void write_cgr(const Graph& g, const std::string& path,
 }
 
 Graph read_cgr(const std::string& path, std::string name) {
-  FileImage image(path);
-  Header header = parse_header(image, path);
-  const std::size_t offsets_at = header.offsets_at();
-  const std::size_t adjacency_at = header.adjacency_at();
-  std::vector<Vertex> adjacency(header.endpoints);
-  image.copy(adjacency_at, adjacency.data(), header.adjacency_bytes());
-  // Weight section (v2/v3): attach_weights below validates every entry
-  // (positive, finite) in its single pass.
-  std::vector<float> weights;
-  if (header.weighted()) {
-    weights.resize(header.endpoints);
-    image.copy(header.weights_at(), weights.data(), header.weights_bytes());
+  const Graph mapped = map_cgr(path, std::move(name));
+  // The u64 constructor narrows the offsets back to the file's u32 width
+  // when 2m < 2^32, so the copy needs no width branch of its own.
+  std::vector<std::uint64_t> offsets(mapped.num_vertices() + 1);
+  for (std::size_t v = 0; v < offsets.size(); ++v) {
+    offsets[v] = mapped.offset(static_cast<Vertex>(v));
   }
-  std::string final_name = resolve_name(std::move(name), header, path);
-  Graph g;
-  if (header.wide()) {
-    std::vector<std::uint64_t> offsets(header.n + 1);
-    image.copy(offsets_at, offsets.data(), header.offsets_bytes());
-    validate_csr(path, header.n, header.endpoints, offsets.data(),
-                 adjacency.data());
-    if (header.sharded()) validate_shard_table(path, header, offsets.data());
-    g = Graph(std::vector<std::size_t>(offsets.begin(), offsets.end()),
-              std::move(adjacency), std::move(final_name));
-  } else {
-    std::vector<std::uint32_t> offsets(header.n + 1);
-    image.copy(offsets_at, offsets.data(), header.offsets_bytes());
-    validate_csr(path, header.n, header.endpoints, offsets.data(),
-                 adjacency.data());
-    if (header.sharded()) validate_shard_table(path, header, offsets.data());
-    g = Graph(std::move(offsets), std::move(adjacency),
-              std::move(final_name));
-  }
-  if (!weights.empty()) {
-    try {
-      g.attach_weights(std::move(weights));
-    } catch (const std::invalid_argument& e) {
-      bad_file(path, e.what());  // corrupt weight values name the file
-    }
+  const auto adjacency = mapped.adjacency();
+  Graph g(std::move(offsets),
+          std::vector<Vertex>(adjacency.begin(), adjacency.end()),
+          mapped.name(),
+          Graph::DegreeRange{mapped.min_degree(), mapped.max_degree()});
+  if (mapped.is_weighted()) {
+    g.attach_weights({mapped.weights().begin(), mapped.weights().end()});
   }
   return g;
 }
@@ -441,9 +415,8 @@ Graph map_cgr(const std::string& path, std::string name) {
       header.weighted()
           ? reinterpret_cast<const float*>(base + header.weights_at())
           : nullptr;
-  // Same validation pass as read_cgr, straight over the mapping. Weights
-  // are checked here because the borrowed constructor (unlike
-  // attach_weights) trusts its inputs.
+  // The borrowed constructor (unlike attach_weights) trusts its inputs,
+  // so the weights are checked here.
   for (std::uint64_t i = 0; i < (weights ? header.endpoints : 0); ++i) {
     if (!std::isfinite(weights[i]) || !(weights[i] > 0.0f)) {
       bad_file(path, "edge weight at slot " + std::to_string(i) +
@@ -451,20 +424,18 @@ Graph map_cgr(const std::string& path, std::string name) {
     }
   }
   std::string final_name = resolve_name(std::move(name), header, path);
-  const std::span<const Vertex> adj_span(adjacency, header.endpoints);
-  const std::span<const float> w_span(weights, weights ? header.endpoints : 0);
-  if (header.wide()) {
-    const auto* offsets = reinterpret_cast<const std::uint64_t*>(offsets_base);
+  const auto borrow = [&](const auto* offsets) {
     validate_csr(path, header.n, header.endpoints, offsets, adjacency);
     if (header.sharded()) validate_shard_table(path, header, offsets);
-    return Graph(std::span<const std::uint64_t>(offsets, header.n + 1),
-                 adj_span, w_span, std::move(image), std::move(final_name));
+    return Graph(std::span(offsets, header.n + 1),
+                 std::span<const Vertex>(adjacency, header.endpoints),
+                 std::span<const float>(weights, weights ? header.endpoints : 0),
+                 std::move(image), std::move(final_name));
+  };
+  if (header.wide()) {
+    return borrow(reinterpret_cast<const std::uint64_t*>(offsets_base));
   }
-  const auto* offsets = reinterpret_cast<const std::uint32_t*>(offsets_base);
-  validate_csr(path, header.n, header.endpoints, offsets, adjacency);
-  if (header.sharded()) validate_shard_table(path, header, offsets);
-  return Graph(std::span<const std::uint32_t>(offsets, header.n + 1),
-               adj_span, w_span, std::move(image), std::move(final_name));
+  return borrow(reinterpret_cast<const std::uint32_t*>(offsets_base));
 }
 
 CgrInfo read_cgr_info(const std::string& path) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,86 @@ TEST(Graph, IrregularDetection) {
   EXPECT_EQ(g.regularity(), -1);
   EXPECT_EQ(g.min_degree(), 1u);
   EXPECT_EQ(g.max_degree(), 2u);
+}
+
+// ---- storage: one shared backing, copies share the arrays ----
+
+TEST(GraphStorage, EmptyGraphHasOneZeroOffset) {
+  const Graph g;
+  EXPECT_EQ(g.num_vertices(), 0u);
+  ASSERT_EQ(g.offsets32().size(), 1u);
+  EXPECT_EQ(g.offsets32()[0], 0u);
+  EXPECT_TRUE(g.offsets64().empty());
+  EXPECT_TRUE(g.adjacency().empty());
+  EXPECT_FALSE(g.is_mapped());
+}
+
+TEST(GraphStorage, CopiesShareTheOwnedArrays) {
+  Rng rng(7);
+  const Graph g = gen::random_regular(64, 4, rng);
+  const Graph copy = g;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.adjacency().data(), g.adjacency().data());
+  EXPECT_EQ(copy.offsets32().data(), g.offsets32().data());
+  EXPECT_EQ(copy.resident_bytes(), g.resident_bytes());
+  EXPECT_EQ(copy.resident_bytes(), g.memory_bytes());
+  const Graph renamed(g, "renamed");
+  EXPECT_EQ(renamed.adjacency().data(), g.adjacency().data());
+  EXPECT_EQ(renamed.name(), "renamed");
+}
+
+TEST(GraphStorage, AttachWeightsOnACopyLeavesTheSourceUnweighted) {
+  Rng rng(8);
+  const Graph g = gen::random_regular(32, 4, rng);
+  Graph copy = g;
+  copy.attach_weights(std::vector<float>(g.adjacency().size(), 2.0f));
+  EXPECT_TRUE(copy.is_weighted());
+  EXPECT_FALSE(g.is_weighted());
+  EXPECT_EQ(copy.resident_bytes(),
+            g.resident_bytes() + g.adjacency().size() * sizeof(float));
+  EXPECT_THROW(g.alias_tables(), std::logic_error);
+}
+
+TEST(GraphStorage, StripWeightsSharesTheCsrAndKeepsTheSourceWeighted) {
+  Rng rng(9);
+  Graph g = gen::random_regular(32, 4, rng);
+  g.attach_weights(std::vector<float>(g.adjacency().size(), 0.5f));
+  const Graph stripped = g.strip_weights();
+  EXPECT_FALSE(stripped.is_weighted());
+  EXPECT_EQ(stripped.adjacency().data(), g.adjacency().data());
+  EXPECT_EQ(stripped.offsets32().data(), g.offsets32().data());
+  EXPECT_EQ(stripped.resident_bytes(), stripped.memory_bytes());
+  ASSERT_TRUE(g.is_weighted());
+  EXPECT_EQ(g.weights().size(), g.adjacency().size());
+  EXPECT_EQ(g.alias_tables().prob().size(), g.adjacency().size());
+}
+
+TEST(GraphStorage, GivenDegreeRangeMatchesTheScan) {
+  Rng rng(10);
+  const Graph regular = gen::random_regular(40, 6, rng);
+  GraphBuilder builder(5);
+  builder.add_edge(0, 1);
+  builder.add_edge(0, 2);
+  builder.add_edge(0, 3);
+  builder.add_edge(3, 4);
+  const Graph irregular = builder.build("spider");
+  for (const Graph* g : {&regular, &irregular}) {
+    const auto offsets = g->offsets32();
+    const auto adjacency = g->adjacency();
+    const Graph scanned(
+        std::vector<std::uint32_t>(offsets.begin(), offsets.end()),
+        std::vector<Vertex>(adjacency.begin(), adjacency.end()), "scanned");
+    const Graph given(
+        std::vector<std::uint32_t>(offsets.begin(), offsets.end()),
+        std::vector<Vertex>(adjacency.begin(), adjacency.end()), "given",
+        Graph::DegreeRange{g->min_degree(), g->max_degree()});
+    EXPECT_EQ(scanned.min_degree(), given.min_degree()) << g->name();
+    EXPECT_EQ(scanned.max_degree(), given.max_degree()) << g->name();
+    EXPECT_EQ(scanned.regularity(), given.regularity()) << g->name();
+  }
+  EXPECT_EQ(regular.regularity(), 6);
+  EXPECT_EQ(irregular.regularity(), -1);
+  EXPECT_EQ(irregular.min_degree(), 1u);
+  EXPECT_EQ(irregular.max_degree(), 3u);
 }
 
 TEST(GraphBuilder, RejectsSelfLoop) {
