@@ -25,8 +25,10 @@ constexpr std::size_t kParallelEdgeThreshold = 1 << 15;
 /// must not depend on parallelism or the emit order of add_edges_chunked
 /// would change with it.
 constexpr std::size_t kEdgeChunk = 1 << 16;
-constexpr std::size_t kVertexChunk = 1 << 15;
 constexpr std::size_t kEmitChunk = 1 << 15;
+
+using detail::BuildPool;
+using detail::kVertexChunk;
 
 [[noreturn]] void throw_bad_edge(Vertex u, Vertex v, std::size_t n) {
   if (u >= n || v >= n) {
@@ -37,46 +39,6 @@ constexpr std::size_t kEmitChunk = 1 << 15;
   throw std::invalid_argument("self-loop rejected at vertex " +
                               std::to_string(u));
 }
-
-/// Scoped pool for one assembly: workers = threads-1 (the calling thread
-/// participates in parallel_for), or no pool at all when the build is too
-/// small or parallelism is configured off.
-class BuildPool {
- public:
-  BuildPool(std::size_t work_items, std::size_t parallel_threshold) {
-    const std::size_t threads = GraphBuilder::default_threads();
-    if (threads > 1 && work_items >= parallel_threshold) {
-      pool_.emplace(threads - 1);
-    }
-  }
-
-  /// Runs fn(chunk_index) for every chunk; exceptions thrown by fn are
-  /// captured and the first one rethrown on the calling thread (pool tasks
-  /// must not throw).
-  void run_chunks(std::size_t chunks,
-                  const std::function<void(std::size_t)>& fn) {
-    if (!pool_.has_value()) {
-      for (std::size_t c = 0; c < chunks; ++c) fn(c);
-      return;
-    }
-    std::mutex mutex;
-    std::exception_ptr error;
-    pool_->parallel_for(chunks, [&](std::size_t c) {
-      try {
-        fn(c);
-      } catch (...) {
-        std::lock_guard lock(mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-    if (error) std::rethrow_exception(error);
-  }
-
-  bool parallel() const noexcept { return pool_.has_value(); }
-
- private:
-  std::optional<ThreadPool> pool_;
-};
 
 template <typename Offset>
 struct CsrArrays {
@@ -515,7 +477,7 @@ Graph assemble(std::size_t n, const std::vector<std::pair<Vertex, Vertex>>& edge
 Graph assemble_dispatch(std::size_t n,
                         const std::vector<std::pair<Vertex, Vertex>>& edges,
                         std::string name, bool allow_duplicates) {
-  BuildPool pool(edges.size(), kParallelEdgeThreshold);
+  BuildPool pool(edges.size() >= kParallelEdgeThreshold);
   if (csr_offsets_fit_32bit(static_cast<std::uint64_t>(edges.size()) * 2)) {
     return assemble<std::uint32_t>(n, edges, std::move(name),
                                    allow_duplicates, pool);
@@ -527,9 +489,39 @@ Graph assemble_dispatch(std::size_t n,
 }  // namespace
 
 namespace detail {
+
+BuildPool::BuildPool(bool worthwhile) {
+  const std::size_t threads = GraphBuilder::default_threads();
+  if (worthwhile && threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(threads - 1);
+  }
+}
+
+BuildPool::~BuildPool() = default;
+
+void BuildPool::run_chunks(std::size_t chunks,
+                           const std::function<void(std::size_t)>& fn) {
+  if (pool_ == nullptr) {
+    for (std::size_t c = 0; c < chunks; ++c) fn(c);
+    return;
+  }
+  std::mutex mutex;
+  std::exception_ptr error;
+  pool_->parallel_for(chunks, [&](std::size_t c) {
+    try {
+      fn(c);
+    } catch (...) {
+      std::lock_guard lock(mutex);
+      if (!error) error = std::current_exception();
+    }
+  });
+  if (error) std::rethrow_exception(error);
+}
+
 bool sort_neighbour_list(Vertex* first, Vertex* last) {
   return sort_neighbours(first, last);
 }
+
 }  // namespace detail
 
 GraphBuilder::GraphBuilder(std::size_t n) : num_vertices_(n) {}
@@ -564,7 +556,7 @@ void GraphBuilder::add_edges_chunked(
   std::vector<std::vector<std::pair<Vertex, Vertex>>> buffers(chunks);
   std::vector<unsigned char> bad(chunks, 0);
   const std::size_t n = num_vertices_;
-  BuildPool pool(count, kParallelEdgeThreshold);
+  BuildPool pool(count >= kParallelEdgeThreshold);
   pool.run_chunks(chunks, [&](std::size_t c) {
     const std::size_t begin = c * chunk_size;
     const std::size_t end = std::min(count, begin + chunk_size);

@@ -24,7 +24,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +32,8 @@
 #include "graph/graph.hpp"
 
 namespace cobra {
+
+class ThreadPool;
 
 class GraphBuilder {
  public:
@@ -98,6 +100,35 @@ class GraphBuilder {
 };
 
 namespace detail {
+/// Fixed vertex-chunk size of the substrate's per-vertex passes (dedup,
+/// weight fill, alias build): independent of the thread count, so chunk
+/// boundaries never depend on parallelism.
+inline constexpr std::size_t kVertexChunk = 1 << 15;
+
+/// The substrate's one rule for running a chunked pass (assembly, edge
+/// emission, weight fill, alias build): a scoped pool of
+/// GraphBuilder::default_threads() - 1 workers, the calling thread
+/// joining in, when the pass is worth it and more than one thread is
+/// configured; else a serial loop on the calling thread.
+class BuildPool {
+ public:
+  /// `worthwhile`: the pass is large enough to pay for a pool (each pass
+  /// keeps its own threshold).
+  explicit BuildPool(bool worthwhile);
+  ~BuildPool();
+  BuildPool(const BuildPool&) = delete;
+  BuildPool& operator=(const BuildPool&) = delete;
+
+  /// Runs fn(chunk) for every chunk in [0, chunks); exceptions thrown by
+  /// fn are captured and the first one rethrown on the calling thread
+  /// (pool tasks must not throw).
+  void run_chunks(std::size_t chunks,
+                  const std::function<void(std::size_t)>& fn);
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
 /// The builder's canonical per-vertex neighbour sort (branch-free sorting
 /// networks for degrees 2..8, insertion sort for 9..32, std::sort above),
 /// exposed for the out-of-core shard assembler (graph/stream.cpp), so

@@ -10,7 +10,6 @@
 
 #include "graph/builder.hpp"
 #include "rand/alias.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace cobra {
 
@@ -151,15 +150,19 @@ const GraphAliasTables& Graph::alias_tables() const {
     GraphAliasTables& tables = alias_cell_->tables;
     tables.prob_.resize(w_.size());
     tables.alias_.resize(w_.size());
-    // Per-vertex rows are independent, so the build parallelizes over
-    // fixed vertex chunks like the rest of the substrate (honouring the
-    // same GraphBuilder::set_default_threads knob); the table contents
-    // are a pure function of the weights, whatever the thread count.
-    constexpr std::size_t kVertexChunk = 1 << 15;
+    // Per-vertex rows are independent, so the build runs over the
+    // substrate's fixed vertex chunks on its build pool; the table
+    // contents are a pure function of the weights, whatever the thread
+    // count.
+    using detail::kVertexChunk;
     constexpr std::size_t kParallelEndpointThreshold = 1 << 16;
     const std::size_t chunks =
         (num_vertices_ + kVertexChunk - 1) / kVertexChunk;
-    const auto build_chunk = [&](std::size_t c, AliasScratch& scratch) {
+    detail::BuildPool pool(chunks > 1 &&
+                           w_.size() >= kParallelEndpointThreshold);
+    pool.run_chunks(chunks, [&](std::size_t c) {
+      // A thread_local keeps one scratch per participating thread.
+      thread_local AliasScratch scratch;
       const auto begin_v = static_cast<Vertex>(c * kVertexChunk);
       const auto end_v = static_cast<Vertex>(
           std::min<std::size_t>(num_vertices_, begin_v + kVertexChunk));
@@ -171,21 +174,7 @@ const GraphAliasTables& Graph::alias_tables() const {
                         tables.prob_.data() + begin,
                         tables.alias_.data() + begin, scratch);
       }
-    };
-    const std::size_t threads = GraphBuilder::default_threads();
-    if (chunks > 1 && threads > 1 &&
-        w_.size() >= kParallelEndpointThreshold) {
-      ThreadPool pool(threads - 1);
-      // One scratch per worker slot would need stateful dispatch; a
-      // thread_local keeps the reuse without bookkeeping.
-      pool.parallel_for(chunks, [&](std::size_t c) {
-        thread_local AliasScratch scratch;
-        build_chunk(c, scratch);
-      });
-    } else {
-      AliasScratch scratch;
-      for (std::size_t c = 0; c < chunks; ++c) build_chunk(c, scratch);
-    }
+    });
   });
   return alias_cell_->tables;
 }

@@ -7,16 +7,11 @@
 
 #include "graph/builder.hpp"
 #include "rand/rng.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace cobra::gen {
 
 namespace {
 
-/// Vertex chunk size for the parallel fill — fixed, so chunk boundaries
-/// (and hence nothing at all, since every half-edge is independent) never
-/// depend on the thread count.
-constexpr std::size_t kVertexChunk = 1 << 15;
 /// Half-edge count below which spinning up the pool costs more than the
 /// fill itself.
 constexpr std::size_t kParallelEndpointThreshold = 1 << 16;
@@ -56,9 +51,14 @@ void generate_weights(Graph& g, WeightKind kind, std::uint64_t seed) {
   const std::size_t endpoints = g.adjacency().size();
   if (endpoints == 0) return;  // an edgeless graph stays unweighted
   std::vector<float> weights(endpoints);
+  using detail::kVertexChunk;
   const std::size_t n = g.num_vertices();
   const std::size_t chunks = (n + kVertexChunk - 1) / kVertexChunk;
-  const auto fill_chunk = [&](std::size_t c) {
+  // Every half-edge is independent, so the result never depends on the
+  // thread count of the substrate's build pool.
+  detail::BuildPool pool(chunks > 1 &&
+                         endpoints >= kParallelEndpointThreshold);
+  pool.run_chunks(chunks, [&](std::size_t c) {
     const auto begin = static_cast<Vertex>(c * kVertexChunk);
     const auto end =
         static_cast<Vertex>(std::min<std::size_t>(n, begin + kVertexChunk));
@@ -69,17 +69,7 @@ void generate_weights(Graph& g, WeightKind kind, std::uint64_t seed) {
         weights[base + i] = edge_weight(kind, seed, v, nbrs[i]);
       }
     }
-  };
-  // Honour the same process-wide parallelism knob as graph assembly
-  // (GraphBuilder::set_default_threads): campaigns already run this
-  // inside pool workers, and a pinned build must stay pinned here too.
-  const std::size_t threads = GraphBuilder::default_threads();
-  if (chunks > 1 && threads > 1 && endpoints >= kParallelEndpointThreshold) {
-    ThreadPool pool(threads - 1);
-    pool.parallel_for(chunks, fill_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) fill_chunk(c);
-  }
+  });
   g.attach_weights(std::move(weights));
 }
 
