@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <optional>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,6 +310,64 @@ ServeResult serve_in_thread(Coordinator& coordinator) {
   return out;
 }
 
+/// Holds every worker at its "joined" log line — written after the
+/// handshake, before the first lease request — until all of them have
+/// written it. No worker can then lease before every handshake is done,
+/// so the coordinator cannot finish the campaign and close its listener
+/// before the last worker connects. A worker that waits past the timeout
+/// goes on, and held() fails the case instead of letting it hang.
+class JoinBarrier {
+ public:
+  explicit JoinBarrier(std::size_t workers) : waiting_(workers) {}
+
+  void arrive() {
+    std::unique_lock lock(mutex_);
+    if (--waiting_ == 0) {
+      released_.notify_all();
+    } else if (!released_.wait_for(lock, std::chrono::seconds(60),
+                                   [this] { return waiting_ == 0; })) {
+      timed_out_ = true;
+    }
+  }
+
+  /// True once every worker has joined and none went on alone.
+  bool held() const {
+    std::lock_guard lock(mutex_);
+    return waiting_ == 0 && !timed_out_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable released_;
+  std::size_t waiting_;
+  bool timed_out_ = false;
+};
+
+/// One worker's WorkerOptions::log buffer: each complete line that
+/// announces the join waits at the barrier.
+class JoinGateBuffer : public std::streambuf {
+ public:
+  explicit JoinGateBuffer(JoinBarrier& barrier) : barrier_(barrier) {}
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    if (ch != '\n') {
+      line_.push_back(traits_type::to_char_type(ch));
+      return ch;
+    }
+    if (line_.find("] joined ") != std::string::npos) barrier_.arrive();
+    line_.clear();
+    return ch;
+  }
+
+ private:
+  JoinBarrier& barrier_;
+  std::string line_;
+};
+
 TEST(DistEndToEnd, TwoWorkersProduceByteIdenticalSinks) {
   const ScenarioSpec spec = ScenarioSpec::parse_string(kDistSpec);
   const CampaignPlan plan = scenario::plan_campaign(spec);
@@ -328,12 +390,16 @@ TEST(DistEndToEnd, TwoWorkersProduceByteIdenticalSinks) {
   Coordinator coordinator(plan, spec.render(), options);
   ASSERT_GT(coordinator.port(), 0);
 
-  WorkerOptions worker_options;
-  worker_options.port = coordinator.port();
+  JoinBarrier joined(2);
   std::vector<std::thread> workers;
   std::vector<std::string> worker_errors(2);
   for (std::size_t i = 0; i < 2; ++i) {
     workers.emplace_back([&, i] {
+      JoinGateBuffer buffer(joined);
+      std::ostream log(&buffer);
+      WorkerOptions worker_options;
+      worker_options.port = coordinator.port();
+      worker_options.log = &log;
       try {
         (void)run_worker(worker_options);
       } catch (const std::exception& e) {
@@ -344,6 +410,7 @@ TEST(DistEndToEnd, TwoWorkersProduceByteIdenticalSinks) {
   const ServeResult served = serve_in_thread(coordinator);
   for (auto& w : workers) w.join();
 
+  EXPECT_TRUE(joined.held()) << "a worker leased before both had joined";
   ASSERT_TRUE(served.error.empty()) << served.error;
   ASSERT_TRUE(served.result.has_value());
   EXPECT_TRUE(served.result->complete);
