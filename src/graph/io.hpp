@@ -91,15 +91,15 @@ void write_dot(const Graph& g, std::ostream& os);
 // does not.
 //
 // The offset width flag must match csr_offsets_fit_32bit(2m) — the file
-// mirrors the in-memory width-adaptive representation, so loading never
-// widens or narrows. read_cgr() mmaps the file when the platform allows
-// (one kernel-backed copy, no userspace parsing) and falls back to
-// streamed reads; map_cgr() keeps the mapping itself as the graph's
-// storage (zero copies, page-cache resident). Either way the full CSR
-// invariants (monotone offsets, sorted in-range neighbour lists, positive
-// finite weights) are validated before a Graph is returned, and truncated
-// or corrupt files are rejected with std::invalid_argument naming the
-// defect.
+// mirrors the in-memory width-adaptive representation, so a load keeps
+// the file's width. map_cgr() mmaps the file when the platform allows
+// (streamed reads into one buffer otherwise) and keeps the image as the
+// graph's storage (zero copies, page-cache resident); read_cgr() is
+// map_cgr() followed by one copy into owned arrays. Either way the full
+// CSR invariants (offsets monotone within [0, 2m], sorted in-range
+// neighbour lists, positive finite weights) are validated once before a
+// Graph is returned, and truncated or corrupt files are rejected with
+// std::invalid_argument naming the defect.
 
 struct CgrWriteOptions {
   /// 0 writes the unsharded v1/v2 layout. >= 1 writes the sharded v3
@@ -116,19 +116,21 @@ void write_cgr(const Graph& g, const std::string& path);
 void write_cgr(const Graph& g, const std::string& path,
                const CgrWriteOptions& options);
 
-/// Loads a .cgr file into owned vectors. `name` overrides the stored graph
-/// name when non-empty. Throws std::invalid_argument on IO failure, bad
-/// magic/version, size mismatch (truncation), or violated CSR invariants.
+/// Loads a .cgr file into owned arrays: map_cgr(), then one copy, so
+/// the file is validated exactly as map_cgr validates it. `name`
+/// overrides the stored graph name when non-empty. Throws
+/// std::invalid_argument on IO failure, bad magic/version, size mismatch
+/// (truncation), or violated CSR invariants.
 Graph read_cgr(const std::string& path, std::string name = "");
 
 /// Zero-copy load: the returned Graph's offsets, adjacency, and weights
 /// are read-only views over a private file mapping that the graph keeps
 /// alive (Graph::is_mapped() == true, resident_bytes() ~ 0). Validation
-/// is identical to read_cgr — one sequential pass over the mapping, which
-/// also warms the page cache. On platforms without mmap this degrades to
-/// a buffered read with the buffer as backing (still one allocation, same
-/// semantics). Pages are faulted in on access, so cold sweeps pay IO
-/// latency mid-run; see the README's out-of-core notes.
+/// is one sequential pass over the mapping, which also warms the page
+/// cache. On platforms without mmap this degrades to a buffered read with
+/// the buffer as backing (still one allocation, same semantics). Pages
+/// are faulted in on access, so cold sweeps pay IO latency mid-run; see
+/// the README's out-of-core notes.
 Graph map_cgr(const std::string& path, std::string name = "");
 
 /// Parsed .cgr header + shard table (no array loading or validation beyond

@@ -216,7 +216,8 @@ class FileImage {
 };
 
 /// Parses and sanity-checks the header (magic through shard table plus the
-/// total-size cross-check) — shared by map_cgr and read_cgr_info. Array contents are NOT validated here.
+/// total-size cross-check) — shared by map_cgr and read_cgr_info. Array
+/// contents are NOT validated here.
 Header parse_header(const FileImage& image, const std::string& path) {
   char magic[8];
   image.copy(0, magic, 8);
@@ -424,12 +425,12 @@ Graph map_cgr(const std::string& path, std::string name) {
     }
   }
   std::string final_name = resolve_name(std::move(name), header, path);
+  const std::span<const float> w_span(weights, weights ? header.endpoints : 0);
   const auto borrow = [&](const auto* offsets) {
     validate_csr(path, header.n, header.endpoints, offsets, adjacency);
     if (header.sharded()) validate_shard_table(path, header, offsets);
     return Graph(std::span(offsets, header.n + 1),
-                 std::span<const Vertex>(adjacency, header.endpoints),
-                 std::span<const float>(weights, weights ? header.endpoints : 0),
+                 std::span<const Vertex>(adjacency, header.endpoints), w_span,
                  std::move(image), std::move(final_name));
   };
   if (header.wide()) {
