@@ -78,7 +78,9 @@ void Graph::adopt(std::vector<Offset> offsets, std::vector<Vertex> adjacency,
   if (offsets.empty()) offsets.push_back(0);
   auto owned = std::make_shared<const OwnedCsr<Offset>>(
       OwnedCsr<Offset>{std::move(offsets), std::move(adjacency)});
-  const OwnedCsr<Offset>& arrays = *owned;  // outlives the handle's move
+  // Not owned->offsets below: the arguments may be evaluated after
+  // `owned` is moved from.
+  const OwnedCsr<Offset>& arrays = *owned;
   view(std::span<const Offset>(arrays.offsets), arrays.adjacency, {},
        std::move(owned), degrees);
 }
@@ -90,15 +92,15 @@ void Graph::view(std::span<const Offset> offsets,
                  std::shared_ptr<const void> backing,
                  std::optional<DegreeRange> degrees) {
   if constexpr (sizeof(Offset) == 8) {
-    off64_ = offsets;
+    off64_view_ = offsets;
     wide_ = true;
   } else {
-    off32_ = offsets;
+    off32_view_ = offsets;
   }
-  adj_ = adjacency;
-  w_ = weights;
+  adj_view_ = adjacency;
+  w_view_ = weights;
   backing_ = std::move(backing);
-  if (!w_.empty()) alias_cell_ = std::make_shared<GraphAliasCell>();
+  if (!w_view_.empty()) alias_cell_ = std::make_shared<GraphAliasCell>();
   num_vertices_ = offsets.size() - 1;
   if (num_vertices_ == 0) return;
   if (!degrees) {
@@ -118,15 +120,15 @@ std::size_t Graph::resident_bytes() const noexcept {
   const std::size_t owned_weights =
       alias_cell_ ? alias_cell_->weights.size() * sizeof(float) : 0;
   if (mapped_) return owned_weights;
-  return memory_bytes() - w_.size() * sizeof(float) + owned_weights;
+  return memory_bytes() - w_view_.size() * sizeof(float) + owned_weights;
 }
 
 void Graph::attach_weights(std::vector<float> weights) {
-  if (weights.size() != adj_.size()) {
+  if (weights.size() != adj_view_.size()) {
     throw std::invalid_argument(
         "graph '" + name_ + "': weight array has " +
         std::to_string(weights.size()) + " entries, adjacency has " +
-        std::to_string(adj_.size()));
+        std::to_string(adj_view_.size()));
   }
   for (std::size_t i = 0; i < weights.size(); ++i) {
     if (!std::isfinite(weights[i]) || !(weights[i] > 0.0f)) {
@@ -137,8 +139,8 @@ void Graph::attach_weights(std::vector<float> weights) {
   }
   auto cell = std::make_shared<GraphAliasCell>();
   cell->weights = std::move(weights);
-  w_ = cell->weights;
-  alias_cell_ = w_.empty() ? nullptr : std::move(cell);
+  w_view_ = cell->weights;
+  alias_cell_ = w_view_.empty() ? nullptr : std::move(cell);
 }
 
 const GraphAliasTables& Graph::alias_tables() const {
@@ -148,8 +150,8 @@ const GraphAliasTables& Graph::alias_tables() const {
   }
   std::call_once(alias_cell_->once, [this] {
     GraphAliasTables& tables = alias_cell_->tables;
-    tables.prob_.resize(w_.size());
-    tables.alias_.resize(w_.size());
+    tables.prob_.resize(w_view_.size());
+    tables.alias_.resize(w_view_.size());
     // Per-vertex rows are independent, so the build runs over the
     // substrate's fixed vertex chunks on its build pool; the table
     // contents are a pure function of the weights, whatever the thread
@@ -159,7 +161,7 @@ const GraphAliasTables& Graph::alias_tables() const {
     const std::size_t chunks =
         (num_vertices_ + kVertexChunk - 1) / kVertexChunk;
     detail::BuildPool pool(chunks > 1 &&
-                           w_.size() >= kParallelEndpointThreshold);
+                           w_view_.size() >= kParallelEndpointThreshold);
     pool.run_chunks(chunks, [&](std::size_t c) {
       // A thread_local keeps one scratch per participating thread.
       thread_local AliasScratch scratch;
@@ -170,7 +172,7 @@ const GraphAliasTables& Graph::alias_tables() const {
         const std::size_t begin = offset(v);
         const std::size_t end = offset(v + 1);
         if (begin == end) continue;
-        build_alias_row(w_.subspan(begin, end - begin),
+        build_alias_row(w_view_.subspan(begin, end - begin),
                         tables.prob_.data() + begin,
                         tables.alias_.data() + begin, scratch);
       }
@@ -181,7 +183,7 @@ const GraphAliasTables& Graph::alias_tables() const {
 
 Graph Graph::strip_weights() const {
   Graph stripped = *this;
-  stripped.w_ = {};
+  stripped.w_view_ = {};
   stripped.alias_cell_ = nullptr;
   return stripped;
 }

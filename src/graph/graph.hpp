@@ -137,11 +137,11 @@ class Graph {
   std::size_t num_vertices() const noexcept { return num_vertices_; }
 
   /// Number of undirected edges m (adjacency stores 2m endpoints).
-  std::size_t num_edges() const noexcept { return adj_.size() / 2; }
+  std::size_t num_edges() const noexcept { return adj_view_.size() / 2; }
 
   /// CSR offset of v's neighbour block (v in [0, n]).
   std::size_t offset(Vertex v) const noexcept {
-    return wide_ ? off64_[v] : off32_[v];
+    return wide_ ? off64_view_[v] : off32_view_[v];
   }
 
   std::size_t degree(Vertex v) const noexcept {
@@ -151,13 +151,13 @@ class Graph {
   /// Sorted neighbour list of v.
   std::span<const Vertex> neighbors(Vertex v) const noexcept {
     const std::size_t begin = offset(v);
-    return {adj_.data() + begin, offset(v + 1) - begin};
+    return {adj_view_.data() + begin, offset(v + 1) - begin};
   }
 
   /// The i-th neighbour of v (0 <= i < degree(v)); the process engines'
   /// "choose a uniform neighbour" is neighbor(v, rng.next_below(degree)).
   Vertex neighbor(Vertex v, std::size_t i) const noexcept {
-    return adj_[offset(v) + i];
+    return adj_view_[offset(v) + i];
   }
 
   /// True if {u, v} is an edge. O(log degree) binary search.
@@ -185,13 +185,13 @@ class Graph {
   bool offsets_are_wide() const noexcept { return wide_; }
 
   std::span<const std::uint32_t> offsets32() const noexcept {
-    return off32_;
+    return off32_view_;
   }
   std::span<const std::uint64_t> offsets64() const noexcept {
-    return off64_;
+    return off64_view_;
   }
 
-  std::span<const Vertex> adjacency() const noexcept { return adj_; }
+  std::span<const Vertex> adjacency() const noexcept { return adj_view_; }
 
   /// Bytes per stored offset entry (4 or 8).
   std::size_t offset_bytes() const noexcept { return wide_ ? 8 : 4; }
@@ -202,7 +202,7 @@ class Graph {
   /// mapped_bytes().
   std::size_t memory_bytes() const noexcept {
     return (num_vertices_ + 1) * offset_bytes() +
-           adj_.size() * sizeof(Vertex) + w_.size() * sizeof(float);
+           adj_view_.size() * sizeof(Vertex) + w_view_.size() * sizeof(float);
   }
 
   // ---- mapped vs owned storage ----
@@ -226,15 +226,15 @@ class Graph {
 
   /// True when a CSR-aligned weight array is attached (8m bytes; an edgeless
   /// graph is never weighted).
-  bool is_weighted() const noexcept { return !w_.empty(); }
+  bool is_weighted() const noexcept { return !w_view_.empty(); }
 
   /// CSR-aligned weights: weights()[offset(v)+i] is the weight of the edge
   /// {v, neighbor(v,i)}. Empty for unweighted graphs.
-  std::span<const float> weights() const noexcept { return w_; }
+  std::span<const float> weights() const noexcept { return w_view_; }
 
   /// Weight of v's i-th edge (0 <= i < degree(v)); requires is_weighted().
   float weight(Vertex v, std::size_t i) const noexcept {
-    return w_[offset(v) + i];
+    return w_view_[offset(v) + i];
   }
 
   /// Attaches a CSR-aligned weight array (size 2m, every entry positive
@@ -268,13 +268,14 @@ class Graph {
             std::optional<DegreeRange> degrees);
 
   // The arrays every accessor reads (see offsets32()/offsets64()).
-  std::span<const std::uint32_t> off32_;
-  std::span<const std::uint64_t> off64_;
-  std::span<const Vertex> adj_;
+  std::span<const std::uint32_t> off32_view_;
+  std::span<const std::uint64_t> off64_view_;
+  std::span<const Vertex> adj_view_;
   /// CSR-aligned edge weights; empty (zero overhead) when unweighted.
-  std::span<const float> w_;
-  /// Holds the memory behind off32_/off64_/adj_ (and w_ when mapped):
-  /// the owned arrays or the file image. Shared by copies, never written.
+  std::span<const float> w_view_;
+  /// Holds the memory behind the offsets and adjacency views (and the
+  /// weights view when mapped): the owned arrays or the file image.
+  /// Shared by copies, never written.
   std::shared_ptr<const void> backing_;
   /// attach_weights' array and the lazily-built alias tables over the
   /// weights, in one heap cell so the std::once_flag survives Graph's
