@@ -122,9 +122,10 @@ struct BenchRow {
 // per trial, RoundRecorder observer sampling every round) versus bare.
 // The rounds *sink* is deliberately excluded — campaigns record only the
 // first rounds_trials trials per job, so file writes are not steady
-// state. Interleaved repetitions with min-time-per-leg de-noise the
-// comparison; the gate (<= 3% overhead, zero steady allocations) fails
-// the bench's exit status, which CI treats as a regression.
+// state. Interleaved repetitions, alternating which leg runs first, with
+// min-time-per-leg de-noise the comparison; the gate (<= 3% overhead,
+// zero steady allocations) fails the bench's exit status, which CI treats
+// as a regression.
 // ---------------------------------------------------------------------------
 
 struct TelemetryBench {
@@ -172,14 +173,27 @@ TelemetryBench bench_telemetry(const Graph& g, std::uint64_t seed,
   run_leg(false);
   run_leg(true);
 
+  const auto telemetry_leg = [&] {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const double seconds = run_leg(true);
+    result.steady_allocations +=
+        g_allocations.load(std::memory_order_relaxed) - before;
+    return seconds;
+  };
   result.plain_seconds = -1;
   result.telemetry_seconds = -1;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    const double plain = run_leg(false);
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    const double telemetry = run_leg(true);
-    result.steady_allocations +=
-        g_allocations.load(std::memory_order_relaxed) - before;
+    // Odd reps run the instrumented leg first, so neither leg always runs
+    // on the state the other leaves behind.
+    double plain = 0;
+    double telemetry = 0;
+    if (rep % 2 == 0) {
+      plain = run_leg(false);
+      telemetry = telemetry_leg();
+    } else {
+      telemetry = telemetry_leg();
+      plain = run_leg(false);
+    }
     if (result.plain_seconds < 0 || plain < result.plain_seconds) {
       result.plain_seconds = plain;
     }
@@ -437,10 +451,11 @@ int main(int argc, char** argv) {
   // Telemetry-overhead gate: <= --telemetry-overhead-pct (default 3) and
   // zero steady-state allocations with the full per-trial instrumentation
   // attached, or the bench exits nonzero.
-  // 10x the trials: a leg must run long enough (several ms) for the min
-  // over reps to resolve a 3% difference on a shared host.
+  // 100x the trials: a leg must run long enough (tens of ms) for the min
+  // over reps to resolve a 3% difference on a shared host; code placement
+  // alone moved 8 ms legs by more than 3%.
   const TelemetryBench telemetry =
-      bench_telemetry(g, seed, trials * 10, /*reps=*/5);
+      bench_telemetry(g, seed, trials * 100, /*reps=*/5);
   const bool telemetry_ok = telemetry.steady_allocations == 0 &&
                             telemetry.overhead() <= overhead_limit;
   std::printf(

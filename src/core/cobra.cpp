@@ -74,7 +74,8 @@ void CobraProcess::reset(std::span<const Vertex> starts) {
   frontier_size_ = visited_count_;
   frontier_listed_ = false;
   round_ = 0;
-  accounting_.reset();
+  transmissions_ = 0;
+  peak_vertex_sends_ = 0;
 }
 
 std::span<const Vertex> CobraProcess::frontier() const {
@@ -107,7 +108,6 @@ void CobraProcess::do_step(Rng& rng) {
 
 template <typename Faults>
 std::size_t CobraProcess::step_with(Rng& rng, Faults& faults) {
-  if (options_.record_curves) accounting_.begin_round();
   const Branching& branching = options_.branching;
   if (Faults::kLossless && !branching.is_fractional() && branching.k == 1 &&
       frontier_size_ == 1) {
@@ -121,7 +121,7 @@ std::size_t CobraProcess::step_with(Rng& rng, Faults& faults) {
   const Draws draw = draws_of(*graph_, alias_);
   VertexSet& next = next_;
   std::size_t frozen = 0;
-  // Down: the token is frozen in place — no sends, no accounting.
+  // Down: the token is frozen in place — no sends, nothing counted.
   const auto frozen_in_place = [&](Vertex v) {
     if (faults.can_send(v)) return false;
     next.insert(v);
@@ -145,14 +145,13 @@ std::size_t CobraProcess::step_with(Rng& rng, Faults& faults) {
     if (!Faults::kLossless && !delivered) next.insert(v);
   };
   // Totals and peak are always counted: transmission results must not
-  // depend on whether curves are recorded. Only the per-round breakdown
-  // is gated (begin_round above).
+  // depend on whether curves are recorded.
   if (branching.is_fractional()) {
     BernoulliSkipper extra(branching.rho);
     scan<true>(current_, [&](Vertex v) {
       if (frozen_in_place(v)) return;
       const unsigned pushes = 1u + (extra.next(local) ? 1u : 0u);
-      accounting_.record_vertex_send(pushes);
+      count_sends(1, pushes);
       push(v, pushes);
     });
   } else {
@@ -160,7 +159,7 @@ std::size_t CobraProcess::step_with(Rng& rng, Faults& faults) {
     scan<true>(current_, [&](Vertex v) {
       if (!frozen_in_place(v)) push(v, k);
     });
-    accounting_.record_sends(frontier_size_ - frozen, k);
+    count_sends(frontier_size_ - frozen, k);
   }
   rng = local;
   return finish_round();
@@ -224,7 +223,7 @@ void CobraProcess::walk(Rng& rng, std::size_t round_limit) {
       ++visited;
     }
   } while (visited != n && round < round_limit);
-  accounting_.record_sends(round - round_, 1);
+  count_sends(round - round_, 1);
   rng = local;
   current_.insert(position);
   frontier_listed_ = false;
@@ -245,9 +244,9 @@ SpreadResult run_to_cover(CobraProcess& process, Rng& rng) {
   result.completed = process.covered();
   result.rounds = process.round();
   result.final_count = process.visited_count();
-  result.total_transmissions = process.accounting().total();
+  result.total_transmissions = process.total_transmissions();
   result.peak_vertex_round_transmissions =
-      process.accounting().peak_vertex_round();
+      process.peak_vertex_round_transmissions();
   return result;
 }
 

@@ -40,12 +40,12 @@
 // hitting time Hit_C(v), Theorem 4).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "core/accounting.hpp"
 #include "core/process.hpp"
 #include "core/process_common.hpp"
 #include "core/vertex_set.hpp"
@@ -58,10 +58,9 @@ struct CobraOptions {
   Branching branching = Branching::fixed(2);
   /// Abort threshold for run_cobra_cover (the process itself never dies).
   std::size_t max_rounds = 1u << 20;
-  /// Record the per-round curve and the per-round message breakdown
-  /// (small overhead; off for bulk Monte Carlo). Transmission totals and
-  /// the per-vertex peak are always counted, so results are independent
-  /// of this flag.
+  /// Record the per-round curve (small overhead; off for bulk Monte
+  /// Carlo). Transmission totals and the per-vertex peak are always
+  /// counted, so results are independent of this flag.
   bool record_curves = true;
   /// Weighted neighbour choice: each push draws a neighbour with
   /// probability proportional to its edge weight via the graph's alias
@@ -113,10 +112,10 @@ class CobraProcess final : public Process {
   std::size_t active_count() const override { return frontier_size_; }
   bool completed() const override { return covered(); }
   std::uint64_t total_transmissions() const override {
-    return accounting_.total();
+    return transmissions_;
   }
   std::uint64_t peak_vertex_round_transmissions() const override {
-    return accounting_.peak_vertex_round();
+    return peak_vertex_sends_;
   }
   std::size_t round_limit() const override { return options_.max_rounds; }
 
@@ -140,7 +139,6 @@ class CobraProcess final : public Process {
   /// Materialized per-vertex first-visit rounds (kRoundNever if unvisited).
   std::vector<Round> first_visit_rounds() const;
 
-  const Accounting& accounting() const noexcept { return accounting_; }
   const Graph& graph() const noexcept { return *graph_; }
   const CobraOptions& options() const noexcept { return options_; }
 
@@ -168,6 +166,16 @@ class CobraProcess final : public Process {
   /// set, makes it C_t and returns the number of first visits.
   std::size_t finish_round();
 
+  /// Counts `vertices` vertices that each sent `count` messages in one
+  /// round (one call per round under fixed k, one per frontier vertex
+  /// under fractional k, one for a whole k = 1 walk).
+  void count_sends(std::uint64_t vertices, std::uint64_t count) noexcept {
+    transmissions_ += vertices * count;
+    if (vertices != 0) {
+      peak_vertex_sends_ = std::max(peak_vertex_sends_, count);
+    }
+  }
+
   const Graph* graph_;
   CobraOptions options_;
   /// Alias tables for weighted draws (see GraphAliasTables::draw_index);
@@ -185,7 +193,9 @@ class CobraProcess final : public Process {
   std::size_t frontier_size_ = 0;
   std::size_t visited_count_ = 0;
   Round round_ = 0;
-  Accounting accounting_;
+  std::uint64_t transmissions_ = 0;  ///< messages sent since reset
+  /// Largest count one vertex sent in one round since reset.
+  std::uint64_t peak_vertex_sends_ = 0;
 };
 
 /// Runs until covered or options.max_rounds; returns the uniform result

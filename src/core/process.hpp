@@ -98,29 +98,10 @@ class Process {
   virtual ~Process() = default;
 
   Process() = default;
-  /// Processes are copyable workspaces (trial loops copy per-thread
-  /// prototypes); an attached fault session is deep-copied and keeps
-  /// borrowing the same FaultModel.
-  Process(const Process& other)
-      : rng_(other.rng_),
-        observer_(other.observer_),
-        curve_(other.curve_),
-        fault_session_(other.fault_session_ == nullptr
-                           ? nullptr
-                           : std::make_unique<FaultSession>(
-                                 *other.fault_session_)) {}
-  Process& operator=(const Process& other) {
-    if (this != &other) {
-      rng_ = other.rng_;
-      observer_ = other.observer_;
-      curve_ = other.curve_;
-      fault_session_ = other.fault_session_ == nullptr
-                           ? nullptr
-                           : std::make_unique<FaultSession>(
-                                 *other.fault_session_);
-    }
-    return *this;
-  }
+  /// Trial loops build one process per thread through the factory
+  /// (make_process), so nothing copies a process.
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
   Process(Process&&) noexcept = default;
   Process& operator=(Process&&) noexcept = default;
 

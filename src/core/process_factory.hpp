@@ -54,9 +54,6 @@ const std::vector<ProcessSpec>& process_registry();
 /// Registered names, sorted.
 std::vector<std::string> process_names();
 
-/// Metadata for `name`; nullptr if unregistered.
-const ProcessSpec* find_process_spec(std::string_view name);
-
 bool is_process_name(std::string_view name);
 
 /// True if `key` is a parameter the process accepts — campaign planners

@@ -586,12 +586,6 @@ void GraphBuilder::add_edges_chunked(
   }
 }
 
-bool GraphBuilder::has_edge_queued(Vertex u, Vertex v) const {
-  if (u > v) std::swap(u, v);
-  return std::find(edges_.begin(), edges_.end(), std::make_pair(u, v)) !=
-         edges_.end();
-}
-
 Graph GraphBuilder::build(std::string name) {
   return assemble_dispatch(num_vertices_, std::exchange(edges_, {}),
                            std::move(name), /*allow_duplicates=*/false);

@@ -65,14 +65,6 @@ class GraphBuilder {
                                std::vector<std::pair<Vertex, Vertex>>&)>& emit,
       std::size_t chunk_items = 0);
 
-  /// True if {u,v} was queued already. O(queued edges) — intended for
-  /// generators that add few edges or want occasional checks; heavy users
-  /// should dedup themselves.
-  bool has_edge_queued(Vertex u, Vertex v) const;
-
-  std::size_t num_vertices() const noexcept { return num_vertices_; }
-  std::size_t num_edges_queued() const noexcept { return edges_.size(); }
-
   /// Freezes into a Graph named `name` (parallel two-pass assembly).
   /// Throws std::invalid_argument if any duplicate undirected edge was
   /// queued, naming the (min, max)-smallest one. The builder is left

@@ -164,14 +164,4 @@ Graph read_edge_list(std::istream& is, std::string name,
   return g;
 }
 
-void write_dot(const Graph& g, std::ostream& os) {
-  os << "graph \"" << g.name() << "\" {\n";
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (const Vertex w : g.neighbors(v)) {
-      if (v < w) os << "  " << v << " -- " << w << ";\n";
-    }
-  }
-  os << "}\n";
-}
-
 }  // namespace cobra

@@ -47,9 +47,6 @@ struct EdgeListOptions {
 Graph read_edge_list(std::istream& is, std::string name = "from_edge_list",
                      const EdgeListOptions& options = {});
 
-/// Graphviz DOT (undirected) for small-graph visualisation.
-void write_dot(const Graph& g, std::ostream& os);
-
 // ---- binary CSR format (.cgr) ----
 //
 // Versioned binary container for large instances: a campaign generates a

@@ -29,19 +29,6 @@ std::size_t histogram_bucket(double value, double base) {
   return bucket < kHistogramBuckets ? bucket : kHistogramBuckets - 1;
 }
 
-double HistogramSnapshot::quantile_upper(double q, double base) const {
-  if (count == 0) return 0.0;
-  const double target = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    seen += buckets[b];
-    if (static_cast<double>(seen) >= target) {
-      return base * std::ldexp(1.0, static_cast<int>(b));
-    }
-  }
-  return base * std::ldexp(1.0, static_cast<int>(kHistogramBuckets));
-}
-
 void MetricsRegistry::check_open(const char* what) const {
   if (sealed_) {
     throw std::logic_error(std::string("MetricsRegistry: cannot register ") +
@@ -54,13 +41,6 @@ CounterId MetricsRegistry::counter(std::string name) {
   check_open("counter");
   counter_names_.push_back(std::move(name));
   return CounterId{counter_names_.size() - 1};
-}
-
-GaugeId MetricsRegistry::gauge(std::string name) {
-  std::lock_guard lock(mutex_);
-  check_open("gauge");
-  gauge_names_.push_back(std::move(name));
-  return GaugeId{gauge_names_.size() - 1};
 }
 
 HistogramId MetricsRegistry::histogram(std::string name, double base) {
@@ -94,7 +74,6 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() {
   sealed_ = true;
   auto shard = std::make_unique<Shard>();
   shard->counters = std::vector<RelaxedCell>(counter_names_.size());
-  shard->gauges = std::vector<RelaxedCellD>(gauge_names_.size());
   shard->histograms.reserve(histogram_names_.size());
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     shard->histograms.push_back(std::make_unique<HistogramShard>());
@@ -112,13 +91,6 @@ std::uint64_t MetricsRegistry::counter_value(CounterId id) const {
   return total;
 }
 
-double MetricsRegistry::gauge_value(GaugeId id) const {
-  std::lock_guard lock(mutex_);
-  double total = 0.0;
-  for (const auto& shard : shards_) total += shard->gauges[id.slot].load();
-  return total;
-}
-
 HistogramSnapshot MetricsRegistry::histogram_value(HistogramId id) const {
   std::lock_guard lock(mutex_);
   HistogramSnapshot snapshot;
@@ -133,22 +105,9 @@ HistogramSnapshot MetricsRegistry::histogram_value(HistogramId id) const {
   return snapshot;
 }
 
-double MetricsRegistry::histogram_base(HistogramId id) const {
-  return histogram_bases_[id.slot];
-}
-
 std::size_t MetricsRegistry::shards() const {
   std::lock_guard lock(mutex_);
   return shards_.size();
-}
-
-std::size_t MetricsRegistry::shard_bytes() const {
-  std::lock_guard lock(mutex_);
-  return counter_names_.size() * sizeof(RelaxedCell) +
-         gauge_names_.size() * sizeof(RelaxedCellD) +
-         histogram_names_.size() *
-             (sizeof(HistogramShard) + sizeof(void*)) +
-         sizeof(Shard);
 }
 
 }  // namespace cobra::obs

@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: MIT
 //
-// Low-overhead campaign metrics: counters, gauges, and log-bucketed
-// histograms, sharded per thread and merged at read time.
+// Low-overhead campaign metrics: counters and log-bucketed histograms,
+// sharded per thread and merged at read time.
 //
 // Hot-path cost model: a metric update touches exactly one cache-local
 // slot in the calling thread's shard — a relaxed load + relaxed store on
@@ -14,7 +14,7 @@
 // of thread count or interleaving (tested in tests/obs_test.cpp).
 //
 // Lifecycle contract:
-//  * Register every metric (counter / gauge / histogram) before any
+//  * Register every metric (counter / histogram) before any
 //    worker thread touches the registry; registration after the first
 //    shard exists throws std::logic_error.
 //  * The registry must outlive every thread that updates it. Campaign
@@ -46,9 +46,6 @@ class RelaxedCell {
     value_.store(value_.load(std::memory_order_relaxed) + delta,
                  std::memory_order_relaxed);
   }
-  void set(std::uint64_t value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
   std::uint64_t load() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -57,15 +54,12 @@ class RelaxedCell {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Like RelaxedCell for doubles (gauge values, accumulated seconds).
+/// Like RelaxedCell for doubles (histogram sums).
 class RelaxedCellD {
  public:
   void add(double delta) noexcept {
     value_.store(value_.load(std::memory_order_relaxed) + delta,
                  std::memory_order_relaxed);
-  }
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
   }
   double load() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -77,7 +71,6 @@ class RelaxedCellD {
 
 /// Opaque metric handle; indexes into every shard's slot array.
 struct CounterId { std::size_t slot = static_cast<std::size_t>(-1); };
-struct GaugeId { std::size_t slot = static_cast<std::size_t>(-1); };
 struct HistogramId { std::size_t slot = static_cast<std::size_t>(-1); };
 
 /// Histograms bucket positive values into powers of two of `base`:
@@ -93,9 +86,6 @@ struct HistogramSnapshot {
   std::uint64_t buckets[kHistogramBuckets] = {};
 
   double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
-  /// Upper edge of the smallest bucket prefix holding >= q of the count —
-  /// a log-quantized quantile (exact bucketing, not interpolation).
-  double quantile_upper(double q, double base) const;
 };
 
 /// Returns the bucket index for `value` given `base` (see above).
@@ -109,7 +99,6 @@ class MetricsRegistry {
 
   // ---- registration (before any shard exists) ----
   CounterId counter(std::string name);
-  GaugeId gauge(std::string name);
   /// `base` sets the histogram's bucket geometry (see kHistogramBuckets).
   HistogramId histogram(std::string name, double base = 1e-6);
 
@@ -118,32 +107,14 @@ class MetricsRegistry {
   void add(CounterId id, std::uint64_t delta = 1) {
     local_shard().counters[id.slot].add(delta);
   }
-  void set(GaugeId id, double value) {
-    local_shard().gauges[id.slot].set(value);
-  }
   void observe(HistogramId id, double value);
 
   // ---- read-time merge (thread-safe; sums across shards) ----
   std::uint64_t counter_value(CounterId id) const;
-  /// Gauges merge by sum — per-thread gauges (busy seconds, queue depth)
-  /// add up; a process-wide gauge should only ever be set from one thread.
-  double gauge_value(GaugeId id) const;
   HistogramSnapshot histogram_value(HistogramId id) const;
-  double histogram_base(HistogramId id) const;
-
-  /// Registered names, for end-of-run dumps.
-  const std::vector<std::string>& counter_names() const { return counter_names_; }
-  const std::vector<std::string>& gauge_names() const { return gauge_names_; }
-  const std::vector<std::string>& histogram_names() const {
-    return histogram_names_;
-  }
 
   /// Number of thread shards allocated so far.
   std::size_t shards() const;
-
-  /// Resident bytes of one shard with the current metric counts — what
-  /// --dry-run folds into its telemetry-buffer estimate.
-  std::size_t shard_bytes() const;
 
  private:
   struct HistogramShard {
@@ -153,7 +124,6 @@ class MetricsRegistry {
   };
   struct Shard {
     std::vector<RelaxedCell> counters;
-    std::vector<RelaxedCellD> gauges;
     std::vector<std::unique_ptr<HistogramShard>> histograms;
   };
 
@@ -164,7 +134,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   bool sealed_ = false;  ///< set once the first shard is handed out
   std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
   std::vector<double> histogram_bases_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -177,9 +177,8 @@ const std::vector<RegistryEntry>& registry() {
          CobraOptions options;
          options.branching = read_branching(p);
          options.max_rounds = read_max_rounds(p, 1u << 20);
-         // Gates only the curve + per-round message breakdown; totals and
-         // peak are counted regardless (Process contract: results do not
-         // depend on curve recording).
+         // Gates only the curve; totals and peak are counted regardless
+         // (Process contract: results do not depend on curve recording).
          options.record_curves = read_record_curve(p);
          options.weighted = read_weighted(p, g, "cobra");
          return std::make_unique<CobraProcess>(g, first_spreadable(g),
@@ -275,11 +274,6 @@ std::vector<std::string> process_names() {
   std::vector<std::string> names;
   for (const auto& entry : registry()) names.emplace_back(entry.spec.name);
   return names;
-}
-
-const ProcessSpec* find_process_spec(std::string_view name) {
-  const RegistryEntry* entry = find_entry(name);
-  return entry != nullptr ? &entry->spec : nullptr;
 }
 
 bool is_process_name(std::string_view name) {

@@ -1,9 +1,6 @@
 // SPDX-License-Identifier: MIT
 #include "rand/alias.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
 namespace cobra {
 
 void build_alias_row(std::span<const float> weights, float* prob,
@@ -57,56 +54,6 @@ void build_alias_row(std::span<const float> weights, float* prob,
     prob[i] = 1.0f;
     alias[i] = i;
   }
-}
-
-namespace {
-
-template <typename T>
-std::vector<float> validated_weights(std::span<const T> weights) {
-  if (weights.empty()) {
-    throw std::invalid_argument("AliasTable requires >= 1 weight");
-  }
-  std::vector<float> out;
-  out.reserve(weights.size());
-  for (const T w : weights) {
-    const auto f = static_cast<float>(w);
-    if (!std::isfinite(f) || !(f > 0.0f)) {
-      throw std::invalid_argument(
-          "AliasTable weights must be positive and finite");
-    }
-    out.push_back(f);
-  }
-  return out;
-}
-
-}  // namespace
-
-AliasTable::AliasTable(std::span<const float> weights) {
-  const std::vector<float> w = validated_weights(weights);
-  prob_.resize(w.size());
-  alias_.resize(w.size());
-  AliasScratch scratch;
-  build_alias_row(w, prob_.data(), alias_.data(), scratch);
-}
-
-AliasTable::AliasTable(std::span<const double> weights) {
-  const std::vector<float> w = validated_weights(weights);
-  prob_.resize(w.size());
-  alias_.resize(w.size());
-  AliasScratch scratch;
-  build_alias_row(w, prob_.data(), alias_.data(), scratch);
-}
-
-double AliasTable::outcome_probability(std::uint32_t outcome) const {
-  // Slot i contributes prob[i]/d to outcome i and (1-prob[i])/d to its
-  // alias — sum the masses that land on `outcome`.
-  const double inv_d = 1.0 / static_cast<double>(prob_.size());
-  double mass = 0.0;
-  for (std::size_t i = 0; i < prob_.size(); ++i) {
-    if (i == outcome) mass += prob_[i] * inv_d;
-    if (alias_[i] == outcome) mass += (1.0 - prob_[i]) * inv_d;
-  }
-  return mass;
 }
 
 }  // namespace cobra

@@ -8,10 +8,8 @@
 // float acceptance probability `prob[i]` and an alias index `alias[i]`.
 // A draw picks slot i uniformly, then keeps i with probability prob[i]
 // and takes alias[i] otherwise — one slot pick plus one coin (O(1)),
-// whatever d is. The weighted graph substrate builds one
-// such table per vertex over the CSR weight array (graph/graph.hpp caches
-// them lazily); the free-standing AliasTable class below is the same
-// machinery for generic consumers and for the distributional tests.
+// whatever d is. The weighted graph substrate builds one such table per
+// vertex over the CSR weight array (graph/graph.hpp caches them lazily).
 //
 // Acceptance probabilities are stored as float: the build runs in double
 // and rounds once at the end, so per-outcome probabilities are exact to
@@ -22,8 +20,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "rand/rng.hpp"
 
 namespace cobra {
 
@@ -42,38 +38,5 @@ struct AliasScratch {
 /// float rounding of prob).
 void build_alias_row(std::span<const float> weights, float* prob,
                      std::uint32_t* alias, AliasScratch& scratch);
-
-/// Free-standing alias table over one distribution.
-class AliasTable {
- public:
-  /// Builds from positive finite weights (throws std::invalid_argument on
-  /// an empty span or a non-positive/non-finite entry).
-  explicit AliasTable(std::span<const float> weights);
-  explicit AliasTable(std::span<const double> weights);
-
-  std::size_t size() const noexcept { return prob_.size(); }
-
-  /// One O(1) draw: index in [0, size()). A uniform slot pick (one draw
-  /// plus Lemire's rare rejection redraws) then the alias coin — the
-  /// same fixed sequence the graph processes use
-  /// (GraphAliasTables::draw_index), so results are reproducible across
-  /// consumers.
-  std::uint32_t draw(Rng& rng) const noexcept {
-    const std::uint32_t i =
-        rng.next_below32(static_cast<std::uint32_t>(prob_.size()));
-    return rng.next_double() < prob_[i] ? i : alias_[i];
-  }
-
-  /// Exact per-outcome probability implied by the table (sums the slot
-  /// masses); tests compare this against weights[j] / sum(weights).
-  double outcome_probability(std::uint32_t outcome) const;
-
-  std::span<const float> prob() const noexcept { return prob_; }
-  std::span<const std::uint32_t> alias() const noexcept { return alias_; }
-
- private:
-  std::vector<float> prob_;
-  std::vector<std::uint32_t> alias_;
-};
 
 }  // namespace cobra

@@ -20,40 +20,4 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-namespace {
-// Jump polynomials from the reference xoshiro256 implementation.
-constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-                                   0xa9582618e03fc9aaULL,
-                                   0x39abdc4529b1661cULL};
-constexpr std::uint64_t kLongJump[] = {
-    0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-    0x39109bb02acbe635ULL};
-}  // namespace
-
-void Rng::jump() noexcept {
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t poly : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (poly & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-      }
-      (*this)();
-    }
-  }
-  state_ = acc;
-}
-
-void Rng::long_jump() noexcept {
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t poly : kLongJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (poly & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-      }
-      (*this)();
-    }
-  }
-  state_ = acc;
-}
-
 }  // namespace cobra

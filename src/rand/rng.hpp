@@ -7,8 +7,9 @@
 // addressed by a (base seed, trial index) pair, and (c) independent parallel
 // streams — the trial runner hands each worker its own statistically
 // independent generator. std::mt19937_64 satisfies none of these well, so we
-// implement xoshiro256++ (Blackman & Vigna, 2019) seeded via SplitMix64,
-// with the canonical jump() / long_jump() stream-splitting functions.
+// implement xoshiro256++ (Blackman & Vigna, 2019) seeded via SplitMix64;
+// each trial's stream is seeded from (base seed, trial index) by
+// Rng::for_trial.
 #pragma once
 
 #include <array>
@@ -111,13 +112,6 @@ class Rng {
 
   /// Bernoulli(p) trial; p outside [0,1] saturates to always-false/true.
   bool bernoulli(double p) noexcept { return next_double() < p; }
-
-  /// Advances the stream by 2^128 steps; used to split one seed into many
-  /// parallel streams with guaranteed non-overlap.
-  void jump() noexcept;
-
-  /// Advances the stream by 2^192 steps (splits into streams of jumps).
-  void long_jump() noexcept;
 
   /// Exposes state for serialization / tests.
   const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }

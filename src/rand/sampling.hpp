@@ -1,15 +1,14 @@
 // SPDX-License-Identifier: MIT
 //
-// Sampling helpers built on Rng: uniform picks from spans, k-subsets,
-// shuffles, and permutations. These are used by the graph generators
-// (configuration model, Watts-Strogatz) and by the process engines when a
-// vertex selects k random neighbours.
+// Sampling helpers built on Rng: geometric-skipping Bernoulli trials, which
+// the process engines use for fractional branching, and a Fisher-Yates
+// shuffle, which tests use to permute vertex labels.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "rand/rng.hpp"
 
@@ -65,12 +64,6 @@ class BernoulliSkipper {
   bool primed_ = false;
 };
 
-/// Uniformly random element of a non-empty span.
-template <typename T>
-const T& pick(std::span<const T> items, Rng& rng) noexcept {
-  return items[static_cast<std::size_t>(rng.next_below(items.size()))];
-}
-
 /// In-place Fisher-Yates shuffle.
 template <typename T>
 void shuffle(std::span<T> items, Rng& rng) noexcept {
@@ -80,22 +73,5 @@ void shuffle(std::span<T> items, Rng& rng) noexcept {
     swap(items[i - 1], items[j]);
   }
 }
-
-/// Uniformly random permutation of {0, ..., n-1}.
-std::vector<std::uint32_t> random_permutation(std::size_t n, Rng& rng);
-
-/// Floyd's algorithm: k distinct values sampled uniformly from [0, n).
-/// Output order is unspecified. Precondition: k <= n.
-std::vector<std::uint64_t> sample_without_replacement(std::uint64_t n,
-                                                      std::size_t k, Rng& rng);
-
-/// k values sampled uniformly with replacement from [0, n).
-std::vector<std::uint64_t> sample_with_replacement(std::uint64_t n,
-                                                   std::size_t k, Rng& rng);
-
-/// Binomial(n, p) sample. Uses direct Bernoulli summation for small n*? and
-/// an inversion on the CDF otherwise; exact for all inputs, O(n) worst case
-/// but O(np + 1) typical via the waiting-time (geometric skip) method.
-std::uint64_t binomial(std::uint64_t n, double p, Rng& rng);
 
 }  // namespace cobra

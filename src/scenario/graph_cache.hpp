@@ -69,9 +69,9 @@ class GraphCache {
 
   /// Storage footprint of the currently cached instances, split by where
   /// the bytes live: `resident` counts owned arrays competing for RAM,
-  /// `mapped` counts file-backed views (mmap-loaded .cgr graphs). The
-  /// campaign/dist runners report these so an out-of-core sweep can prove
-  /// its working set stayed borrowed.
+  /// `mapped` counts file-backed views (mmap-loaded .cgr graphs). No
+  /// runner reports these; tests/outofcore_scenario_test.cpp reads them to
+  /// check that an out-of-core sweep's working set stayed borrowed.
   struct Usage {
     std::uint64_t resident_bytes = 0;
     std::uint64_t mapped_bytes = 0;

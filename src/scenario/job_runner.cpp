@@ -11,7 +11,7 @@
 #include "obs/rounds.hpp"
 #include "obs/trace.hpp"
 #include "sim/sweep.hpp"
-#include "stats/quantile.hpp"
+#include "stats/summary.hpp"
 #include "util/stopwatch.hpp"
 
 namespace cobra::scenario {
@@ -110,19 +110,6 @@ std::shared_ptr<Job> open_job(const CampaignPlan& plan, const JobSpec& spec,
   return job;
 }
 
-Summary summary_from(const OnlineStats& stream, std::vector<double>& values) {
-  Summary summary;
-  summary.count = stream.count();
-  summary.mean = stream.mean();
-  summary.stddev = stream.stddev();
-  summary.min = stream.min();
-  summary.max = stream.max();
-  summary.median = quantile(values, 0.5);
-  summary.p90 = quantile(values, 0.9);
-  summary.p99 = quantile(values, 0.99);
-  return summary;
-}
-
 /// Folds a finished job's records, strictly in trial order, into its
 /// JobResult.
 JobResult aggregate(const Job& job) {
@@ -130,10 +117,6 @@ JobResult aggregate(const Job& job) {
   result.trials = job.trials();
   result.graph_name = job.graph->name();
   result.faulty = job.faults != nullptr;
-  OnlineStats rounds_stream;
-  OnlineStats tx_stream;
-  OnlineStats pdr_stream;
-  OnlineStats energy_stream;
   std::vector<double> rounds_values;
   std::vector<double> tx_values;
   std::vector<double> pdr_values;
@@ -158,8 +141,6 @@ JobResult aggregate(const Job& job) {
     }
     const auto rounds = static_cast<double>(trial.rounds);
     const auto tx = static_cast<double>(trial.total_transmissions);
-    rounds_stream.add(rounds);
-    tx_stream.add(tx);
     rounds_values.push_back(rounds);
     tx_values.push_back(tx);
     if (result.faulty) {
@@ -170,18 +151,16 @@ JobResult aggregate(const Job& job) {
               ? static_cast<double>(trial.delivered) /
                     static_cast<double>(trial.total_transmissions)
               : 0.0;
-      pdr_stream.add(pdr);
-      energy_stream.add(trial.energy);
       pdr_values.push_back(pdr);
       energy_values.push_back(trial.energy);
     }
   }
   if (!rounds_values.empty()) {
-    result.rounds = summary_from(rounds_stream, rounds_values);
-    result.transmissions = summary_from(tx_stream, tx_values);
+    result.rounds = summarize(rounds_values);
+    result.transmissions = summarize(tx_values);
     if (result.faulty) {
-      result.pdr = summary_from(pdr_stream, pdr_values);
-      result.energy = summary_from(energy_stream, energy_values);
+      result.pdr = summarize(pdr_values);
+      result.energy = summarize(energy_values);
     }
   }
   return result;

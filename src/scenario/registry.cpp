@@ -525,18 +525,6 @@ std::vector<std::string> graph_family_param_keys(std::string_view family) {
   return keys;
 }
 
-std::vector<std::string> process_names() {
-  return ::cobra::process_names();
-}
-
-bool is_process_name(std::string_view name) {
-  return ::cobra::is_process_name(name);
-}
-
-bool process_has_param(std::string_view name, std::string_view key) {
-  return ::cobra::process_has_param(name, key);
-}
-
 std::unique_ptr<Process> make_process(const Graph& g, const ParamMap& params) {
   try {
     return ::cobra::make_process(g, params);

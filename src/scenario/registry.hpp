@@ -94,18 +94,11 @@ GraphMemoryEstimate estimate_graph_memory(const ParamMap& params);
 
 // ---- processes ----
 //
-// Thin veneer over the unified factory: identical semantics, but every
-// failure surfaces as SpecError so campaign planning reports one error
-// type. The returned processes are single-thread workspaces; drive one
-// trial as process->run(rng, start) (see core/process.hpp).
-
-/// Registered process names, sorted.
-std::vector<std::string> process_names();
-bool is_process_name(std::string_view name);
-
-/// True if `key` is a parameter the process accepts (see
-/// graph_family_has_param).
-bool process_has_param(std::string_view name, std::string_view key);
+// The process names and keys are the unified factory's
+// (core/process_factory.hpp). make_process below wraps its builder so
+// every failure surfaces as SpecError and campaign planning reports one
+// error type. The returned processes are single-thread workspaces; drive
+// one trial as process->run(rng, start) (see core/process.hpp).
 
 /// Instantiates the process named params["name"] on `g`. Throws SpecError
 /// on unknown names, malformed parameters, or unknown keys.

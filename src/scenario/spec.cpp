@@ -170,12 +170,6 @@ SpecSection& ScenarioSpec::section_for_write(std::string_view name) {
   return sections_.back();
 }
 
-bool ScenarioSpec::has(std::string_view section_name,
-                       std::string_view key) const {
-  const SpecSection* sec = section(section_name);
-  return sec != nullptr && sec->find(key) != nullptr;
-}
-
 std::string ScenarioSpec::get(std::string_view section_name,
                               std::string_view key,
                               std::string_view fallback) const {
@@ -193,35 +187,6 @@ std::int64_t ScenarioSpec::get_int(std::string_view section_name,
   if (entry == nullptr) return fallback;
   return parse_int(source_, entry->line, entry->value,
                    concat("[", section_name, "] ", key));
-}
-
-double ScenarioSpec::get_double(std::string_view section_name,
-                                std::string_view key, double fallback) const {
-  const SpecSection* sec = section(section_name);
-  const SpecEntry* entry = sec != nullptr ? sec->find(key) : nullptr;
-  if (entry == nullptr) return fallback;
-  double value = 0.0;
-  if (!parse_number(entry->value, value)) {
-    fail_at(source_, entry->line,
-            concat("[", section_name, "] ", key, " expects a number, got '",
-                   entry->value, "'"));
-  }
-  return value;
-}
-
-std::string ScenarioSpec::require(std::string_view section_name,
-                                  std::string_view key) const {
-  const SpecSection* sec = section(section_name);
-  if (sec == nullptr) {
-    throw SpecError(source_ + ": missing required section [" +
-                    std::string(section_name) + "]");
-  }
-  const SpecEntry* entry = sec->find(key);
-  if (entry == nullptr) {
-    throw SpecError(source_ + ": [" + std::string(section_name) +
-                    "] is missing required key '" + std::string(key) + "'");
-  }
-  return entry->value;
 }
 
 std::vector<std::string> expand_values(const std::string& value,

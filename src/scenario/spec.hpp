@@ -87,19 +87,12 @@ class ScenarioSpec {
   const std::vector<SpecSection>& sections() const { return sections_; }
   const std::string& source() const { return source_; }
 
-  bool has(std::string_view section, std::string_view key) const;
-
-  /// Typed lookups with defaults. Malformed numbers throw SpecError citing
-  /// the entry's line.
+  /// Typed lookups with defaults. A malformed number throws SpecError
+  /// citing the entry's line.
   std::string get(std::string_view section, std::string_view key,
                   std::string_view fallback) const;
   std::int64_t get_int(std::string_view section, std::string_view key,
                        std::int64_t fallback) const;
-  double get_double(std::string_view section, std::string_view key,
-                    double fallback) const;
-
-  /// Required lookup; throws SpecError naming section/key when absent.
-  std::string require(std::string_view section, std::string_view key) const;
 
  private:
   SpecSection& section_for_write(std::string_view name);

@@ -7,12 +7,6 @@
 
 namespace cobra {
 
-std::vector<double> run_trials(
-    const TrialOptions& options,
-    const std::function<double(std::size_t, Rng&)>& fn) {
-  return run_trials_collect<double>(options, fn);
-}
-
 std::vector<SpreadResult> run_process_trials(
     const TrialOptions& options,
     const std::function<std::unique_ptr<Process>()>& make_process,

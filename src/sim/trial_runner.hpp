@@ -27,11 +27,7 @@ struct TrialOptions {
 };
 
 /// Runs fn(trial_index, rng) for each trial, collecting the returned
-/// doubles in trial order.
-std::vector<double> run_trials(const TrialOptions& options,
-                               const std::function<double(std::size_t, Rng&)>& fn);
-
-/// Generic variant collecting arbitrary results (still trial-ordered).
+/// results in trial order.
 template <typename R>
 std::vector<R> run_trials_collect(
     const TrialOptions& options,

@@ -33,6 +33,4 @@ double quantile(std::span<const double> values, double q) {
   return quantile(std::vector<double>(values.begin(), values.end()), q);
 }
 
-double median(std::span<const double> values) { return quantile(values, 0.5); }
-
 }  // namespace cobra

@@ -12,8 +12,7 @@ namespace cobra {
 /// destructive. Throws std::invalid_argument on empty input or bad q.
 double quantile(std::vector<double> values, double q);
 
-/// Convenience overloads on spans (copy internally).
+/// Convenience overload on spans (copies internally).
 double quantile(std::span<const double> values, double q);
-double median(std::span<const double> values);
 
 }  // namespace cobra

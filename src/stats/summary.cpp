@@ -1,7 +1,6 @@
 // SPDX-License-Identifier: MIT
 #include "stats/summary.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "stats/online.hpp"
@@ -25,16 +24,6 @@ Summary summarize(std::span<const double> values) {
   summary.p90 = quantile(values, 0.9);
   summary.p99 = quantile(values, 0.99);
   return summary;
-}
-
-std::string to_string(const Summary& summary) {
-  char buffer[160];
-  std::snprintf(buffer, sizeof buffer,
-                "mean=%.3f sd=%.3f min=%.0f med=%.1f p90=%.1f p99=%.1f "
-                "max=%.0f (n=%zu)",
-                summary.mean, summary.stddev, summary.min, summary.median,
-                summary.p90, summary.p99, summary.max, summary.count);
-  return buffer;
 }
 
 }  // namespace cobra

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 
 namespace cobra {
 
@@ -24,8 +23,5 @@ struct Summary {
 
 /// Throws std::invalid_argument on an empty sample.
 Summary summarize(std::span<const double> values);
-
-/// "mean=12.3 p90=15 max=17 (n=100)" — compact log line for examples.
-std::string to_string(const Summary& summary);
 
 }  // namespace cobra

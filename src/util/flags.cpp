@@ -97,19 +97,6 @@ double Flags::get_double(std::string_view name, double fallback) const {
   return value;
 }
 
-bool Flags::get_bool(std::string_view name, bool fallback) const {
-  record_query(name, "bool", fallback ? "true" : "false");
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  consumed_[it->first] = true;
-  const auto& text = it->second;
-  if (text.empty() || text == "1" || text == "true" || text == "yes") {
-    return true;
-  }
-  if (text == "0" || text == "false" || text == "no") return false;
-  throw_bad_value(it->first, "a boolean", text);
-}
-
 std::vector<std::string> Flags::unconsumed() const {
   std::vector<std::string> out;
   for (const auto& [name, value] : values_) {

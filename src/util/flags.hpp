@@ -41,7 +41,6 @@ class Flags {
   std::string get(std::string_view name, std::string_view fallback) const;
   std::int64_t get_int(std::string_view name, std::int64_t fallback) const;
   double get_double(std::string_view name, double fallback) const;
-  bool get_bool(std::string_view name, bool fallback) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 

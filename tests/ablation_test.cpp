@@ -1,12 +1,11 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the ablation/instrumentation modules: the non-coalescing
-// branching walk, per-vertex load accounting, and the Accounting class.
+// branching walk and per-vertex load accounting.
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "core/accounting.hpp"
 #include "core/load.hpp"
 #include "graph/generators.hpp"
 #include "protocols/branching_walk.hpp"
@@ -105,38 +104,6 @@ TEST(Load, DeterministicUnderSeed) {
   const auto rb = run_cobra_with_load(g, 0, {}, b);
   EXPECT_EQ(ra.activations, rb.activations);
   EXPECT_EQ(ra.rounds, rb.rounds);
-}
-
-TEST(Accounting, TotalsAndPeaks) {
-  Accounting acc;
-  acc.begin_round();
-  acc.record_vertex_send(2);
-  acc.record_vertex_send(3);
-  acc.begin_round();
-  acc.record_vertex_send(7);
-  EXPECT_EQ(acc.total(), 12u);
-  EXPECT_EQ(acc.rounds(), 2u);
-  EXPECT_EQ(acc.round_total(0), 5u);
-  EXPECT_EQ(acc.round_total(1), 7u);
-  EXPECT_EQ(acc.peak_round_total(), 7u);
-  EXPECT_EQ(acc.peak_vertex_round(), 7u);
-}
-
-TEST(Accounting, RecordWithoutBeginCountsTotalsOnly) {
-  // Bulk Monte Carlo mode: totals and peaks accrue without any per-round
-  // tracking (begin_round is the opt-in for the breakdown).
-  Accounting acc;
-  acc.record_vertex_send(4);
-  EXPECT_EQ(acc.rounds(), 0u);
-  EXPECT_EQ(acc.total(), 4u);
-  EXPECT_EQ(acc.peak_vertex_round(), 4u);
-}
-
-TEST(Accounting, EmptyAccounting) {
-  const Accounting acc;
-  EXPECT_EQ(acc.total(), 0u);
-  EXPECT_EQ(acc.rounds(), 0u);
-  EXPECT_EQ(acc.peak_round_total(), 0u);
 }
 
 }  // namespace

@@ -183,8 +183,8 @@ TEST(Cobra, TransmissionAccountingMatchesKTimesFrontier) {
     expected_total += 2 * process.frontier().size();
     process.step(rng);
   }
-  EXPECT_EQ(process.accounting().total(), expected_total);
-  EXPECT_EQ(process.accounting().peak_vertex_round(), 2u);
+  EXPECT_EQ(process.total_transmissions(), expected_total);
+  EXPECT_EQ(process.peak_vertex_round_transmissions(), 2u);
 }
 
 TEST(Cobra, K1MatchesRandomWalkTrajectory) {
@@ -218,8 +218,8 @@ TEST(Cobra, FractionalBranchingStaysBetween1And2) {
     EXPECT_LE(process.frontier().size(), 2 * prev);
     prev = std::max<std::size_t>(process.frontier().size(), 1);
   }
-  EXPECT_LE(process.accounting().peak_vertex_round(), 2u);
-  EXPECT_GE(process.accounting().peak_vertex_round(), 1u);
+  EXPECT_LE(process.peak_vertex_round_transmissions(), 2u);
+  EXPECT_GE(process.peak_vertex_round_transmissions(), 1u);
 }
 
 TEST(Cobra, RhoZeroNeverBranches) {

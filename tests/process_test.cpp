@@ -258,22 +258,24 @@ TEST(ProcessFactory, RegistryNamesAndKeys) {
       "bips", "branching-walk", "cobra", "flood", "pull",
       "push", "push-pull",      "sis",   "walk"};
   EXPECT_EQ(process_names(), expected);
-  for (const std::string& name : expected) {
+  const std::vector<ProcessSpec>& registry = process_registry();
+  ASSERT_EQ(registry.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::string& name = expected[i];
+    const ProcessSpec& spec = registry[i];
+    EXPECT_EQ(spec.name, name);
     ASSERT_TRUE(is_process_name(name));
-    const ProcessSpec* spec = find_process_spec(name);
-    ASSERT_NE(spec, nullptr);
-    EXPECT_STRNE(spec->summary, "");
+    EXPECT_STRNE(spec.summary, "");
     // Every process takes a round budget and the curve toggle.
     EXPECT_TRUE(process_has_param(name, "max_rounds")) << name;
     EXPECT_TRUE(process_has_param(name, "record_curve")) << name;
     EXPECT_FALSE(process_has_param(name, "no_such_key")) << name;
-    for (const auto& param : spec->params) {
+    for (const auto& param : spec.params) {
       EXPECT_TRUE(process_has_param(name, param.key))
           << name << "." << param.key;
     }
   }
   EXPECT_FALSE(is_process_name("gossip9000"));
-  EXPECT_EQ(find_process_spec("gossip9000"), nullptr);
 }
 
 TEST(ProcessFactory, ErrorsNameTheProblem) {

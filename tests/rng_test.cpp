@@ -1,16 +1,12 @@
 // SPDX-License-Identifier: MIT
 //
-// Unit tests for the RNG substrate: determinism, range correctness, stream
-// independence, and distributional sanity of the sampling helpers.
+// Unit tests for the RNG substrate: determinism, range correctness and
+// stream independence.
 #include "rand/rng.hpp"
 
-#include <algorithm>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "rand/sampling.hpp"
 
 namespace cobra {
 namespace {
@@ -102,24 +98,6 @@ TEST(Rng, BernoulliSaturates) {
   }
 }
 
-TEST(Rng, JumpProducesDisjointStream) {
-  Rng a(21);
-  Rng b(21);
-  b.jump();
-  std::set<std::uint64_t> first;
-  for (int i = 0; i < 1000; ++i) first.insert(a());
-  int collisions = 0;
-  for (int i = 0; i < 1000; ++i) collisions += first.count(b());
-  EXPECT_LE(collisions, 1);
-}
-
-TEST(Rng, LongJumpChangesState) {
-  Rng a(33);
-  Rng b(33);
-  b.long_jump();
-  EXPECT_NE(a.state(), b.state());
-}
-
 TEST(Rng, ForTrialGivesIndependentStreams) {
   Rng a = Rng::for_trial(1000, 0);
   Rng b = Rng::for_trial(1000, 1);
@@ -132,67 +110,6 @@ TEST(Rng, ForTrialIsReproducible) {
   Rng a = Rng::for_trial(1000, 5);
   Rng b = Rng::for_trial(1000, 5);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(Sampling, PermutationIsAPermutation) {
-  Rng rng(3);
-  const auto perm = random_permutation(100, rng);
-  std::set<std::uint32_t> unique(perm.begin(), perm.end());
-  EXPECT_EQ(unique.size(), 100u);
-  EXPECT_EQ(*unique.begin(), 0u);
-  EXPECT_EQ(*unique.rbegin(), 99u);
-}
-
-TEST(Sampling, WithoutReplacementIsDistinct) {
-  Rng rng(4);
-  for (int rep = 0; rep < 50; ++rep) {
-    const auto sample = sample_without_replacement(100, 10, rng);
-    std::set<std::uint64_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 10u);
-    for (const auto value : sample) EXPECT_LT(value, 100u);
-  }
-}
-
-TEST(Sampling, WithoutReplacementFullRange) {
-  Rng rng(5);
-  const auto sample = sample_without_replacement(10, 10, rng);
-  std::set<std::uint64_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 10u);
-}
-
-TEST(Sampling, WithReplacementInRange) {
-  Rng rng(6);
-  const auto sample = sample_with_replacement(7, 1000, rng);
-  EXPECT_EQ(sample.size(), 1000u);
-  for (const auto value : sample) EXPECT_LT(value, 7u);
-}
-
-TEST(Sampling, BinomialEdgeCases) {
-  Rng rng(8);
-  EXPECT_EQ(binomial(100, 0.0, rng), 0u);
-  EXPECT_EQ(binomial(100, 1.0, rng), 100u);
-  EXPECT_EQ(binomial(0, 0.5, rng), 0u);
-}
-
-TEST(Sampling, BinomialMeanMatches) {
-  Rng rng(9);
-  const int reps = 20000;
-  double total = 0;
-  for (int i = 0; i < reps; ++i) {
-    total += static_cast<double>(binomial(50, 0.2, rng));
-  }
-  // mean 10, sd of the estimator ~ sqrt(8/reps) ~ 0.02; 0.2 is 10 sigma.
-  EXPECT_NEAR(total / reps, 10.0, 0.2);
-}
-
-TEST(Sampling, BinomialSymmetryBranch) {
-  Rng rng(10);
-  const int reps = 20000;
-  double total = 0;
-  for (int i = 0; i < reps; ++i) {
-    total += static_cast<double>(binomial(50, 0.8, rng));
-  }
-  EXPECT_NEAR(total / reps, 40.0, 0.2);
 }
 
 }  // namespace

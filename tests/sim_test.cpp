@@ -63,8 +63,8 @@ TEST(TrialRunner, SerialEqualsParallel) {
   serial.threads = 0;
   TrialOptions parallel = serial;
   parallel.threads = 4;
-  const auto a = run_trials(serial, fn);
-  const auto b = run_trials(parallel, fn);
+  const auto a = run_trials_collect<double>(serial, fn);
+  const auto b = run_trials_collect<double>(parallel, fn);
   EXPECT_EQ(a, b);
 }
 
@@ -75,7 +75,8 @@ TEST(TrialRunner, BaseSeedChangesResults) {
   opt1.base_seed = 1;
   TrialOptions opt2 = opt1;
   opt2.base_seed = 2;
-  EXPECT_NE(run_trials(opt1, fn), run_trials(opt2, fn));
+  EXPECT_NE(run_trials_collect<double>(opt1, fn),
+            run_trials_collect<double>(opt2, fn));
 }
 
 TEST(TrialRunner, ResultsAreTrialOrdered) {
@@ -83,7 +84,7 @@ TEST(TrialRunner, ResultsAreTrialOrdered) {
   TrialOptions options;
   options.trials = 32;
   options.threads = 4;
-  const auto results = run_trials(options, fn);
+  const auto results = run_trials_collect<double>(options, fn);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], static_cast<double>(i));
   }

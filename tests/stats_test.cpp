@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: MIT
 //
 // Statistics module tests: Welford moments, quantiles, summaries, z-test,
-// regression, bootstrap.
+// regression.
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "rand/rng.hpp"
-#include "stats/bootstrap.hpp"
 #include "stats/online.hpp"
 #include "stats/quantile.hpp"
 #include "stats/regression.hpp"
@@ -107,13 +106,6 @@ TEST(SummaryTest, FieldsConsistent) {
   EXPECT_THROW(summarize({}), std::invalid_argument);
 }
 
-TEST(SummaryTest, ToStringMentionsKeyFields) {
-  const Summary s = summarize(std::vector<double>{1, 2, 3});
-  const std::string text = to_string(s);
-  EXPECT_NE(text.find("mean=2.000"), std::string::npos);
-  EXPECT_NE(text.find("n=3"), std::string::npos);
-}
-
 TEST(ZTest, IdenticalProportionsGiveZeroZ) {
   const auto result = two_proportion_ztest(50, 100, 500, 1000);
   EXPECT_NEAR(result.z, 0.0, 1e-12);
@@ -201,25 +193,6 @@ TEST(Regression, RejectsBadInput) {
   EXPECT_THROW(fit_loglog(std::vector<double>{-1, 2},
                           std::vector<double>{1, 2}),
                std::invalid_argument);
-}
-
-TEST(Bootstrap, CoversTrueMean) {
-  Rng data_rng(4);
-  std::vector<double> values;
-  for (int i = 0; i < 500; ++i) values.push_back(data_rng.next_double());
-  Rng rng(5);
-  const auto ci = bootstrap_mean_ci(values, 2000, 0.95, rng);
-  EXPECT_LT(ci.lo, 0.5);
-  EXPECT_GT(ci.hi, 0.5);
-  EXPECT_LT(ci.hi - ci.lo, 0.1);
-}
-
-TEST(Bootstrap, RejectsBadInput) {
-  Rng rng(6);
-  EXPECT_THROW(bootstrap_mean_ci({}, 100, 0.95, rng), std::invalid_argument);
-  const std::vector<double> one{1.0};
-  EXPECT_THROW(bootstrap_mean_ci(one, 0, 0.95, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci(one, 10, 1.5, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -34,17 +34,6 @@ TEST(FlagsTest, SpaceSyntax) {
 TEST(FlagsTest, BareBoolean) {
   const auto flags = make_flags({"--verbose"});
   EXPECT_TRUE(flags.has("verbose"));
-  EXPECT_TRUE(flags.get_bool("verbose", false));
-  EXPECT_FALSE(flags.get_bool("quiet", false));
-}
-
-TEST(FlagsTest, BooleanValues) {
-  EXPECT_TRUE(make_flags({"--x=true"}).get_bool("x", false));
-  EXPECT_TRUE(make_flags({"--x=1"}).get_bool("x", false));
-  EXPECT_FALSE(make_flags({"--x=false"}).get_bool("x", true));
-  EXPECT_FALSE(make_flags({"--x=no"}).get_bool("x", true));
-  EXPECT_THROW(make_flags({"--x=maybe"}).get_bool("x", true),
-               std::invalid_argument);
 }
 
 TEST(FlagsTest, Defaults) {

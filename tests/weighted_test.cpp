@@ -242,32 +242,6 @@ TEST_F(CgrWeightsTest, TruncatedAndCorruptV2Rejected) {
 
 // ---- alias tables ----
 
-TEST(AliasTable, TableProbabilitiesAreExact) {
-  const std::vector<double> weights{0.5, 3.25, 1.0, 0.125, 2.0};
-  const AliasTable table{std::span<const double>(weights)};
-  double total = 0.0;
-  for (const double w : weights) total += w;
-  for (std::uint32_t j = 0; j < weights.size(); ++j) {
-    EXPECT_NEAR(table.outcome_probability(j), weights[j] / total, 1e-6);
-  }
-}
-
-TEST(AliasTable, RejectsBadWeights) {
-  const std::vector<double> empty;
-  EXPECT_THROW(AliasTable{std::span<const double>(empty)},
-               std::invalid_argument);
-  const std::vector<double> negative{1.0, -0.5};
-  EXPECT_THROW(AliasTable{std::span<const double>(negative)},
-               std::invalid_argument);
-}
-
-TEST(AliasTable, DegreeOneIsDeterministic) {
-  const std::vector<double> one{3.0};
-  const AliasTable table{std::span<const double>(one)};
-  Rng rng(11);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(table.draw(rng), 0u);
-}
-
 /// Exact check: for every vertex, the per-slot alias masses must
 /// reproduce weight(v,i)/strength(v).
 void expect_exact_vertex_tables(const Graph& g) {
