@@ -5,7 +5,8 @@
 // the .csv bytes) matches a constant recorded from a known-good build.
 // The engine specs cover what the perfbench expanders do not: irregular
 // graphs, word-boundary sizes, curves, alias draws, round budgets and
-// faults, for COBRA and BIPS. Results are a pure function of (spec, seed),
+// faults, for COBRA, BIPS and the push family (push and push-pull on the
+// weighted torus). Results are a pure function of (spec, seed),
 // so a change to any result bit, to the thread-count independence or to
 // the sink format fails here. A new engine spec needs a recorded digest.
 #include <algorithm>
@@ -41,6 +42,7 @@ TEST(EngineSpecs, SinksMatchRecordedDigestsAtThreads0And3) {
       {"engine_bips_weighted_torus", 0x32418aea2d1dafd5ULL},
       {"engine_cycle", 0x2d7f4164ce8cb7f2ULL},
       {"engine_lollipop", 0x42b9596dcd626ffdULL},
+      {"engine_push_family", 0xbffecfe6436475bfULL},
       {"engine_weighted_torus", 0x52f8da91586a945bULL},
   };
   std::vector<std::filesystem::path> specs;

@@ -28,7 +28,13 @@
 //  (e) graph cells: the .cgr bytes of every registry family, of instances
 //      past the builder's parallel threshold, of lattices, of an
 //      exp-weighted torus (v2) and of a 4-shard file (v3), each built at
-//      substrate threads 1, 4 and 8.
+//      substrate threads 1, 4 and 8;
+//  (f) push-family cells: push and push-pull round by round and per
+//      trial, stepped and through run(), faults off and at drop 0.2, on
+//      the inputs their quiet-contact skip branches on — a torus that
+//      stays sparse to the end (uniform and alias draws), an irregular
+//      lollipop, an expander that turns dense mid-trial, and a graph with
+//      an isolated vertex that runs quiet rounds up to its budget.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -862,6 +868,122 @@ TEST(GoldenDigest, CgrBytesOfAnExpWeightedTorusAndAFourShardFile) {
            0x21c8f09ea7807a1dULL},
       },
       sharded);
+}
+
+// ---- (f) push-family cells ----
+
+/// `g` plus one isolated vertex (the last): push and push-pull never
+/// complete on it, so a trial runs to its round budget.
+Graph with_isolated_vertex(const Graph& g) {
+  GraphBuilder builder(g.num_vertices() + 1);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (const Vertex w : g.neighbors(v)) {
+      if (v < w) builder.add_edge(v, w);
+    }
+  }
+  return builder.build(g.name() + "+isolated");
+}
+
+/// Three seeds of `name` through one workspace, faults off (drop = 0) or
+/// at `drop`: stepped, then through run(), each with a StatsHash attached
+/// (every RoundStats, the result and, under faults, every vertex's
+/// tx/rx/listen counters), then through run() unobserved (the result).
+std::uint64_t push_family_digest(const Graph& g, const std::string& name,
+                                 const ProcessParams& params, double drop) {
+  Fnv1a hash;
+  FaultOptions options;
+  options.drop = drop;
+  const FaultModel model(g.num_vertices(), options);
+  const auto process = make_process(g, name, params);
+  if (drop > 0.0) process->set_fault_model(&model);
+  StatsHash stats(hash, false);
+  const auto add_trial = [&] {
+    hash.add(process->result());
+    if (const FaultSession* faults = process->fault_session()) {
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        hash.add(faults->tx(v));
+        hash.add(faults->rx(v));
+        hash.add(faults->listen(v));
+      }
+    }
+  };
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    // Never the last vertex, which with_isolated_vertex leaves isolated.
+    const auto start =
+        static_cast<Vertex>(seed * 997 % (g.num_vertices() - 1));
+    process->set_observer(&stats);
+    process->reset(Rng(seed), start);
+    while (!process->done()) process->step();
+    add_trial();
+    process->run(Rng(seed), start);
+    add_trial();
+    process->set_observer(nullptr);
+    process->run(Rng(seed), start);
+    add_trial();
+  }
+  return hash.value();
+}
+
+struct PushFamilyCell {
+  const Graph* graph;
+  const char* what;
+  const char* name;
+  ProcessParams params;
+  std::uint64_t off, drop;
+};
+
+void expect_push_family_digests(const std::vector<PushFamilyCell>& cells) {
+  for (const PushFamilyCell& c : cells) {
+    const std::string what = std::string(c.what) + " " + c.name;
+    EXPECT_DIGEST(push_family_digest(*c.graph, c.name, c.params, 0.0), c.off,
+                  what + " off");
+    EXPECT_DIGEST(push_family_digest(*c.graph, c.name, c.params, 0.2), c.drop,
+                  what + " drop 0.2");
+  }
+}
+
+TEST(GoldenDigest, PushFamilyOnAnExpWeightedTorusThatStaysSparse) {
+  Graph torus = gen::torus({64, 64});
+  gen::generate_weights(torus, gen::WeightKind::kExp, 17);
+  const ProcessParams uniform = {{"max_rounds", "2048"}};
+  const ProcessParams alias = {{"weighted", "1"}, {"max_rounds", "2048"}};
+  expect_push_family_digests({
+      {&torus, "uniform", "push", uniform,
+       0x8f5b59f0a22d61d6ULL, 0xace10c05329b2e39ULL},
+      {&torus, "uniform", "push-pull", uniform,
+       0x144c5fbc5b1cd967ULL, 0x123d170b4a7ce45bULL},
+      {&torus, "alias", "push", alias,
+       0x9e0884a73efe1d0fULL, 0x48aeae24bd5d2018ULL},
+      {&torus, "alias", "push-pull", alias,
+       0x692e568419825869ULL, 0x5a6ed0b35cd64e92ULL},
+  });
+}
+
+TEST(GoldenDigest, PushFamilyOnALollipopAndAnExpanderThatTurnsDense) {
+  const Graph lollipop = gen::lollipop(40, 60);
+  const Graph g = expander(4096);
+  const ProcessParams params = {{"max_rounds", "2048"}};
+  expect_push_family_digests({
+      {&lollipop, "lollipop", "push", params,
+       0x960d6f68121cd88bULL, 0xe9038b6f714dcd98ULL},
+      {&lollipop, "lollipop", "push-pull", params,
+       0x66017505fdf372ceULL, 0x8c2148513205372eULL},
+      {&g, "expander", "push", params,
+       0x27cbd69d030efb77ULL, 0x2cd1f4e30991c6e1ULL},
+      {&g, "expander", "push-pull", params,
+       0x1e30c288fa87b671ULL, 0x43a514cb1f970088ULL},
+  });
+}
+
+TEST(GoldenDigest, PushFamilyWithAnIsolatedVertexUpToTheRoundBudget) {
+  const Graph g = with_isolated_vertex(gen::torus({64, 64}));
+  const ProcessParams budget = {{"max_rounds", "200"}};
+  expect_push_family_digests({
+      {&g, "isolated", "push", budget,
+       0x9f2cf7fe5b22e3b0ULL, 0xb14280fb1b4a2029ULL},
+      {&g, "isolated", "push-pull", budget,
+       0xdb06754553367502ULL, 0x924e1914ea638cf6ULL},
+  });
 }
 
 }  // namespace

@@ -29,14 +29,20 @@
 namespace cobra {
 namespace {
 
-/// The parity graph families: an expander, a non-transitive lattice, and
-/// a dense clique — all with min degree >= 1 so every process runs.
+/// The parity graph families: an expander, a non-transitive lattice, a
+/// dense clique, and three inputs large and slow-spreading enough for
+/// long runs of rounds whose contacts cannot change state (a 64x64
+/// torus, an irregular lollipop and a 500-vertex cycle) — all with min
+/// degree >= 1 so every process runs.
 std::vector<Graph> parity_graphs() {
   std::vector<Graph> graphs;
   Rng rng(1234);
   graphs.push_back(gen::connected_random_regular(96, 6, rng));
   graphs.push_back(gen::torus({6, 7}));
   graphs.push_back(gen::complete(48));
+  graphs.push_back(gen::torus({64, 64}));
+  graphs.push_back(gen::lollipop(40, 60));
+  graphs.push_back(gen::cycle(500));
   return graphs;
 }
 
