@@ -1,8 +1,8 @@
 // SPDX-License-Identifier: MIT
 //
-// What the COBRA and BIPS round loops share: the graph arrays a round's
-// neighbour draws read, and a two-level vertex bitset with its one
-// ascending scan.
+// What the round loops share: the graph arrays a round's neighbour draws
+// read, a two-level vertex bitset with its one ascending scan (COBRA and
+// BIPS), and the push family's count of informed neighbours.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +50,16 @@ struct Draws {
     return alias != nullptr ? alias->draw_index(begin, degree, rng)
                             : rng.next_below32(degree);
   }
+
+  /// Consumes the RNG exactly as draw_index does, reading nothing else:
+  /// the draw of a contact whose outcome cannot change anything.
+  void advance(std::uint32_t degree, Rng& rng) const noexcept {
+    if (alias != nullptr) {
+      GraphAliasTables::advance(degree, rng);
+    } else {
+      (void)rng.next_below32(degree);
+    }
+  }
 };
 
 /// g's draw arrays; `alias` is its alias tables for weighted draws.
@@ -57,6 +67,43 @@ inline Draws draws_of(const Graph& g, const GraphAliasTables* alias) noexcept {
   return {g.offsets32().data(), g.offsets64().data(), g.adjacency().data(),
           alias, g.regularity(), g.offsets_are_wide()};
 }
+
+/// The push family's quiet contacts (protocols/push.hpp, push_pull.hpp).
+/// count[v] is v's number of informed neighbours, so every neighbour of v
+/// is informed iff count[v] is its degree and none is iff it is 0; a
+/// contact then cannot change anything, and only its RNG consumption
+/// (Draws::advance) matters. The counts are kept only while a trial is
+/// sparse: once a round's live (non-quiet) contacts exceed n/8, raising
+/// them would cost more than the skipped draws save, and the trial
+/// finishes on the dense round without them.
+struct InformedNeighbors {
+  std::vector<std::uint32_t> count;
+  bool sparse = false;
+
+  /// Starts a trial informed at `start` alone. A trial under faults
+  /// (`sparse_trial` false) is dense throughout and leaves the counts
+  /// untouched.
+  void reset(const Draws& draw, Vertex start, bool sparse_trial) {
+    sparse = sparse_trial;
+    if (!sparse) return;
+    std::fill(count.begin(), count.end(), 0u);
+    raise(draw, count.data(), start);
+  }
+
+  /// Ends a sparse round in which `live` contacts drew.
+  void end_round(std::size_t live) noexcept {
+    if (live > count.size() / 8) sparse = false;
+  }
+
+  /// v was just informed: raises the count of each of its neighbours.
+  static void raise(const Draws& draw, std::uint32_t* count,
+                    Vertex v) noexcept {
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
+    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
+    for (std::uint32_t j = 0; j < degree; ++j) ++count[nbrs[j]];
+  }
+};
 
 /// Bit v of a plain bitset (words[v / 64]).
 inline bool test_bit(const std::uint64_t* words, Vertex v) noexcept {

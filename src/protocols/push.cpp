@@ -23,6 +23,7 @@ PushProcess::PushProcess(const Graph& g, PushOptions options)
   }
   informed_list_.reserve(g.num_vertices());
   new_informed_.resize(g.num_vertices());
+  neighbors_.count.resize(g.num_vertices());
 }
 
 void PushProcess::do_reset(std::span<const Vertex> starts) {
@@ -43,6 +44,7 @@ void PushProcess::do_reset(std::span<const Vertex> starts) {
   informed_list_.clear();
   informed_[start] = 1;
   informed_list_.push_back(start);
+  neighbors_.reset(draws_of(*graph_, alias_), start, faults() == nullptr);
   round_ = 0;
   transmissions_ = 0;
   peak_ = 0;
@@ -50,42 +52,56 @@ void PushProcess::do_reset(std::span<const Vertex> starts) {
 
 void PushProcess::do_step(Rng& rng) {
   if (FaultSession* fs = faults()) {
-    step_with(rng, *fs);
+    step_with<false>(rng, *fs);
+  } else if (neighbors_.sparse) {
+    step_with<true>(rng, kNoFaults);
   } else {
-    step_with(rng, kNoFaults);
+    step_with<false>(rng, kNoFaults);
   }
 }
 
-template <typename Faults>
+template <bool kSparse, typename Faults>
 void PushProcess::step_with(Rng& rng, Faults& faults) {
   // The RNG, arrays and counters live in locals: a char store into the
   // informed bitmap may alias anything, so members would be reloaded and
   // written back around every draw.
-  const Graph& g = *graph_;
-  const GraphAliasTables* alias = alias_;
+  const Draws draw = draws_of(*graph_, alias_);
   const Vertex* senders = informed_list_.data();
   const std::size_t count = informed_list_.size();
+  std::uint32_t* informed_neighbors = neighbors_.count.data();
   char* informed = informed_.data();
   Vertex* fresh = new_informed_.data();
   std::size_t fresh_count = 0;
+  std::size_t live = 0;
   std::uint64_t sends = 0;
   Rng local = rng;
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex v = senders[i];
     if (!faults.can_send(v)) continue;  // down: no push this round
-    const Vertex w =
-        alias != nullptr
-            ? alias->draw(g, v, local)
-            : g.neighbor(v, local.next_below32(
-                                static_cast<std::uint32_t>(g.degree(v))));
     ++sends;
-    if (faults.transmit(v, 0, w) && !informed[w]) {
-      informed[w] = 1;
-      fresh[fresh_count++] = w;
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
+    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
+    if (kSparse && informed_neighbors[v] == degree) {
+      draw.advance(degree, local);  // quiet: every neighbour is informed
+      continue;
     }
+    ++live;
+    const Vertex w = nbrs[draw.draw_index(begin, degree, local)];
+    if (!faults.transmit(v, 0, w)) continue;
+    // Branch-free: w is appended, and kept only if it was uninformed.
+    fresh[fresh_count] = w;
+    fresh_count += static_cast<std::size_t>(informed[w] == 0);
+    informed[w] = 1;
   }
   rng = local;
   merge_new_informed(fresh_count);
+  if constexpr (kSparse) {
+    for (std::size_t i = 0; i < fresh_count; ++i) {
+      InformedNeighbors::raise(draw, informed_neighbors, fresh[i]);
+    }
+    neighbors_.end_round(live);
+  }
   transmissions_ += sends;
   if (sends > 0) peak_ = 1;
   ++round_;

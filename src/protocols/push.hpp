@@ -10,6 +10,7 @@
 
 #include "core/process.hpp"
 #include "core/process_common.hpp"
+#include "core/vertex_set.hpp"
 #include "graph/graph.hpp"
 #include "rand/rng.hpp"
 
@@ -31,10 +32,19 @@ struct PushOptions {
 /// kept sorted, which is also what lets the batched engine's
 /// vertex-ordered bit-plane scan replay the exact same stream).
 ///
-/// Under faults (core/faults.hpp) down senders skip the round (informed
-/// membership is monotone, so nothing needs freezing), lost or
-/// receiver-blocked pushes inform no one, and transmissions count the
-/// sends actually made.
+/// A fault-free trial starts sparse: each vertex counts its informed
+/// neighbours (InformedNeighbors, core/vertex_set.hpp), and a sender whose
+/// neighbours are all informed is quiet — its push cannot inform anyone,
+/// so it only advances the RNG past the draw (Draws::advance), leaving
+/// the stream draw-for-draw as it was. Once a round's live (non-quiet)
+/// senders exceed n/8 — an expander's frontier, not a lattice's — the
+/// trial drops the counts and finishes on the dense round, which draws
+/// for every sender.
+///
+/// Under faults (core/faults.hpp) every round is dense: down senders skip
+/// the round (informed membership is monotone, so nothing needs
+/// freezing), lost or receiver-blocked pushes inform no one, and
+/// transmissions count the sends actually made.
 class PushProcess final : public Process {
  public:
   /// Requires a non-empty graph; reset() validates the start.
@@ -66,8 +76,9 @@ class PushProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// One round under fault policy `faults` (FaultSession or NoFaults).
-  template <typename Faults>
+  /// One round under fault policy `faults` (FaultSession or NoFaults);
+  /// kSparse skips quiet senders and keeps the counts.
+  template <bool kSparse, typename Faults>
   void step_with(Rng& rng, Faults& faults);
 
   /// Sorts the round's `fresh` new informees (the head of new_informed_)
@@ -85,6 +96,7 @@ class PushProcess final : public Process {
   /// Scratch of n entries: vertices first informed this round, merged at
   /// round end.
   std::vector<Vertex> new_informed_;
+  InformedNeighbors neighbors_;
   std::size_t round_ = 0;
   std::uint64_t transmissions_ = 0;
   std::uint64_t peak_ = 0;

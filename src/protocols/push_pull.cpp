@@ -10,8 +10,7 @@ namespace cobra {
 PushPullProcess::PushPullProcess(const Graph& g, PushPullOptions options)
     : graph_(&g),
       options_(options),
-      informed_(g.num_vertices(), 0),
-      next_(g.num_vertices(), 0) {
+      informed_(g.num_vertices(), 0) {
   if (g.num_vertices() == 0) {
     throw std::invalid_argument("PushPullProcess requires a non-empty graph");
   }
@@ -25,6 +24,7 @@ PushPullProcess::PushPullProcess(const Graph& g, PushPullOptions options)
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     contactors_ += (g.degree(v) > 0);
   }
+  neighbors_.count.resize(g.num_vertices());
 }
 
 void PushPullProcess::do_reset(std::span<const Vertex> starts) {
@@ -41,9 +41,8 @@ void PushPullProcess::do_reset(std::span<const Vertex> starts) {
     throw std::invalid_argument("push_pull start must have degree >= 1");
   }
   std::fill(informed_.begin(), informed_.end(), char{0});
-  std::fill(next_.begin(), next_.end(), char{0});
   informed_[start] = 1;
-  next_[start] = 1;
+  neighbors_.reset(draws_of(*graph_, alias_), start, faults() == nullptr);
   count_ = 1;
   round_ = 0;
   transmissions_ = 0;
@@ -52,49 +51,61 @@ void PushPullProcess::do_reset(std::span<const Vertex> starts) {
 
 void PushPullProcess::do_step(Rng& rng) {
   if (FaultSession* fs = faults()) {
-    step_with(rng, *fs);
+    step_with<false>(rng, *fs);
+  } else if (neighbors_.sparse) {
+    step_with<true>(rng, kNoFaults);
   } else {
-    step_with(rng, kNoFaults);
+    step_with<false>(rng, kNoFaults);
   }
 }
 
-template <typename Faults>
+template <bool kSparse, typename Faults>
 void PushPullProcess::step_with(Rng& rng, Faults& faults) {
   // Locals for the RNG, arrays and counters (see PushProcess::step_with).
-  const Graph& g = *graph_;
-  const GraphAliasTables* alias = alias_;
-  const std::size_t n = g.num_vertices();
+  const Draws draw = draws_of(*graph_, alias_);
+  const std::size_t n = graph_->num_vertices();
+  std::uint32_t* informed_neighbors = neighbors_.count.data();
   char* informed = informed_.data();
-  char* next = next_.data();
   std::size_t contacts = 0;
+  std::size_t live = 0;
   Rng local = rng;
   // Synchronous semantics: all contacts are evaluated against the state
-  // at the start of the round.
+  // at the start of the round (informed == 1).
   for (Vertex v = 0; v < n; ++v) {
-    const auto degree = static_cast<std::uint32_t>(g.degree(v));
+    std::uint32_t degree = 0;
+    std::size_t begin = 0;
+    const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
     if (degree == 0) continue;  // isolated: no one to contact
     // An informed vertex pushes (it must be up); an uninformed one pulls,
     // a request/response pair it must be up and awake to complete.
-    const bool push = informed[v] != 0;
+    const bool push = informed[v] == 1;
     if (push ? !faults.can_send(v) : !faults.can_receive(v)) continue;
     ++contacts;
-    const Vertex w = alias != nullptr
-                         ? alias->draw(g, v, local)
-                         : g.neighbor(v, local.next_below32(degree));
-    if (!faults.transmit(v, 0, w)) continue;
-    if (push) {
-      next[w] = 1;
-    } else if (informed[w]) {
-      next[v] = 1;
+    if (kSparse && informed_neighbors[v] == (push ? degree : 0)) {
+      draw.advance(degree, local);  // quiet: no neighbour differs from v
+      continue;
     }
+    ++live;
+    const Vertex w = nbrs[draw.draw_index(begin, degree, local)];
+    if (!faults.transmit(v, 0, w)) continue;
+    // Branch-free: a push marks w unless it is informed (state 0), a pull
+    // marks v if w was informed at the start of the round (state 1).
+    const char state = informed[w];
+    informed[push ? w : v] |=
+        static_cast<char>((state == static_cast<char>(!push)) << 1);
   }
   rng = local;
-  std::size_t count = 0;
+  std::size_t fresh = 0;
   for (Vertex v = 0; v < n; ++v) {
-    informed[v] = next[v];
-    count += static_cast<std::size_t>(next[v]);
+    const char state = informed[v];
+    informed[v] = static_cast<char>(state != 0);
+    fresh += static_cast<std::size_t>(state >> 1);
+    if constexpr (kSparse) {
+      if (state == 2) InformedNeighbors::raise(draw, informed_neighbors, v);
+    }
   }
-  count_ = count;
+  if constexpr (kSparse) neighbors_.end_round(live);
+  count_ += fresh;
   transmissions_ += contacts;
   if (contacts > 0) peak_ = 1;
   ++round_;

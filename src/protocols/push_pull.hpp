@@ -9,6 +9,7 @@
 
 #include "core/process.hpp"
 #include "core/process_common.hpp"
+#include "core/vertex_set.hpp"
 #include "graph/graph.hpp"
 #include "rand/rng.hpp"
 
@@ -26,10 +27,20 @@ struct PushPullOptions {
 /// RNG stream is draw-for-draw identical to the legacy run_push_pull
 /// (every positive-degree vertex contacts once, in ascending order).
 ///
-/// Under faults (core/faults.hpp) a down vertex makes no contact; pushes
-/// inform on delivery, and pulls (request/response pairs) need the puller
-/// up and awake plus a delivered round trip. Informed membership stays
-/// monotone.
+/// A fault-free trial starts sparse: each vertex counts its informed
+/// neighbours (InformedNeighbors, core/vertex_set.hpp), and a vertex whose
+/// neighbours all share its state is quiet — an informed one pushes to an
+/// informed neighbour, an uninformed one pulls from an uninformed one —
+/// so it only advances the RNG past its draw (Draws::advance), leaving
+/// the stream draw-for-draw as it was. On a lattice almost every contact
+/// is quiet; once a round's live (non-quiet) contacts exceed n/8 — an
+/// expander's boundary — the trial drops the counts and finishes on the
+/// dense round, which draws for every contact.
+///
+/// Under faults (core/faults.hpp) every round is dense: a down vertex
+/// makes no contact; pushes inform on delivery, and pulls
+/// (request/response pairs) need the puller up and awake plus a delivered
+/// round trip. Informed membership stays monotone.
 class PushPullProcess final : public Process {
  public:
   explicit PushPullProcess(const Graph& g, PushPullOptions options = {});
@@ -57,16 +68,19 @@ class PushPullProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// One round under fault policy `faults` (FaultSession or NoFaults).
-  template <typename Faults>
+  /// One round under fault policy `faults` (FaultSession or NoFaults);
+  /// kSparse skips quiet contacts and keeps the counts.
+  template <bool kSparse, typename Faults>
   void step_with(Rng& rng, Faults& faults);
 
   const Graph* graph_;
   PushPullOptions options_;
   /// Alias tables for weighted draws; null when unweighted.
   const GraphAliasTables* alias_ = nullptr;
+  /// 1 if informed at the start of the round, 2 if informed during it
+  /// (1 from the round's end), 0 otherwise.
   std::vector<char> informed_;
-  std::vector<char> next_;
+  InformedNeighbors neighbors_;
   std::size_t contactors_ = 0;  ///< positive-degree vertex count (fixed)
   std::size_t count_ = 0;
   std::size_t round_ = 0;
