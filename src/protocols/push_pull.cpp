@@ -88,11 +88,17 @@ void PushPullProcess::step_with(Rng& rng, Faults& faults) {
     ++live;
     const Vertex w = nbrs[draw.draw_index(begin, degree, local)];
     if (!faults.transmit(v, 0, w)) continue;
-    // Branch-free: a push marks w unless it is informed (state 0), a pull
-    // marks v if w was informed at the start of the round (state 1).
-    const char state = informed[w];
-    informed[push ? w : v] |=
-        static_cast<char>((state == static_cast<char>(!push)) << 1);
+    // A push marks w unless it is informed (state 0), a pull marks v if w
+    // was informed at the start of the round (state 1).
+    const bool marks = informed[w] == static_cast<char>(!push);
+    if constexpr (Faults::kLossless) {
+      // Branch-free: an expander's dense round marks unpredictably.
+      informed[push ? w : v] |= static_cast<char>(marks << 1);
+    } else if (marks) {
+      // A store only on a change: on a lattice, an unconditional one into
+      // w's slot stalls the next contacts' reads of theirs.
+      informed[push ? w : v] = 2;
+    }
   }
   rng = local;
   std::size_t fresh = 0;
