@@ -50,16 +50,6 @@ struct Draws {
     return alias != nullptr ? alias->draw_index(begin, degree, rng)
                             : rng.next_below32(degree);
   }
-
-  /// Consumes the RNG exactly as draw_index does, reading nothing else:
-  /// the draw of a contact whose outcome cannot change anything.
-  void advance(std::uint32_t degree, Rng& rng) const noexcept {
-    if (alias != nullptr) {
-      GraphAliasTables::advance(degree, rng);
-    } else {
-      (void)rng.next_below32(degree);
-    }
-  }
 };
 
 /// g's draw arrays; `alias` is its alias tables for weighted draws.
@@ -71,37 +61,54 @@ inline Draws draws_of(const Graph& g, const GraphAliasTables* alias) noexcept {
 /// The push family's quiet contacts (protocols/push.hpp, push_pull.hpp).
 /// count[v] is v's number of informed neighbours, so every neighbour of v
 /// is informed iff count[v] is its degree and none is iff it is 0; a
-/// contact then cannot change anything, and only its RNG consumption
-/// (Draws::advance) matters. The counts are kept only while a trial is
-/// sparse: once a round's live (non-quiet) contacts exceed n/8, raising
-/// them would cost more than the skipped draws save, and the trial
-/// finishes on the dense round without them.
+/// contact then cannot change anything, and its draw's result is thrown
+/// away unread (only its RNG consumption matters). The counts pay only
+/// while they cost less than the work they skip:
+///  * Only weighted draws start sparse. A quiet weighted draw skips the
+///    alias coin's unpredictable branch and the table and state reads
+///    behind it; a quiet uniform draw skips two cached reads, which the
+///    count check costs back.
+///  * The trial's increments (one per neighbour of each newly informed
+///    vertex) stay within n plus its quiet contacts so far. On a complete
+///    graph push's first informee spends the n; a lattice never does.
+///  * A round's live (non-quiet) contacts stay within n/8. An expander's
+///    frontier passes that; a lattice's boundary does not.
+/// Past either bound, the trial finishes on the dense round without them.
 struct InformedNeighbors {
   std::vector<std::uint32_t> count;
   bool sparse = false;
+  /// n plus the trial's quiet contacts minus its increments so far.
+  std::int64_t budget = 0;
 
-  /// Starts a trial informed at `start` alone. A trial under faults
-  /// (`sparse_trial` false) is dense throughout and leaves the counts
-  /// untouched.
-  void reset(const Draws& draw, Vertex start, bool sparse_trial) {
-    sparse = sparse_trial;
+  /// Starts a trial informed at `start` alone: sparse if it is `lossless`
+  /// (fault-free) and its draws are weighted, else dense throughout,
+  /// leaving the counts untouched.
+  void reset(const Draws& draw, Vertex start, bool lossless) {
+    sparse = lossless && draw.alias != nullptr;
     if (!sparse) return;
     std::fill(count.begin(), count.end(), 0u);
-    raise(draw, count.data(), start);
+    budget = static_cast<std::int64_t>(count.size()) -
+             raise(draw, count.data(), start);
   }
 
-  /// Ends a sparse round in which `live` contacts drew.
-  void end_round(std::size_t live) noexcept {
-    if (live > count.size() / 8) sparse = false;
+  /// Ends a sparse round of `contacts` contacts, `live` of them live,
+  /// whose new informees made `increments` increments.
+  void end_round(std::size_t contacts, std::size_t live,
+                 std::size_t increments) noexcept {
+    budget += static_cast<std::int64_t>(contacts - live) -
+              static_cast<std::int64_t>(increments);
+    sparse = budget >= 0 && live <= count.size() / 8;
   }
 
-  /// v was just informed: raises the count of each of its neighbours.
-  static void raise(const Draws& draw, std::uint32_t* count,
-                    Vertex v) noexcept {
+  /// v was just informed: raises the count of each of its neighbours and
+  /// returns how many it raised (v's degree).
+  static std::uint32_t raise(const Draws& draw, std::uint32_t* count,
+                             Vertex v) noexcept {
     std::uint32_t degree = 0;
     std::size_t begin = 0;
     const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
     for (std::uint32_t j = 0; j < degree; ++j) ++count[nbrs[j]];
+    return degree;
   }
 };
 

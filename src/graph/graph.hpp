@@ -80,15 +80,6 @@ class GraphAliasTables {
     return i;
   }
 
-  /// Consumes exactly the RNG outputs draw_index(begin, degree, rng)
-  /// does — next_below32 with its rejection redraws, then the coin's one
-  /// output — without reading the tables: the draw of a contact whose
-  /// outcome cannot change anything.
-  static void advance(std::uint32_t degree, Rng& rng) noexcept {
-    (void)rng.next_below32(degree);
-    (void)rng();
-  }
-
   /// One weighted draw among v's neighbours: P(neighbor(v,i)) =
   /// weight(v,i) / strength(v). Defined inline below Graph.
   Vertex draw(const Graph& g, Vertex v, Rng& rng) const noexcept;

@@ -83,7 +83,9 @@ void PushProcess::step_with(Rng& rng, Faults& faults) {
     std::size_t begin = 0;
     const Vertex* nbrs = draw.neighbor_block(v, degree, begin);
     if (kSparse && informed_neighbors[v] == degree) {
-      draw.advance(degree, local);  // quiet: every neighbour is informed
+      // Quiet: every neighbour is informed, so only the draw's RNG
+      // consumption matters.
+      (void)draw.draw_index(begin, degree, local);
       continue;
     }
     ++live;
@@ -97,10 +99,12 @@ void PushProcess::step_with(Rng& rng, Faults& faults) {
   rng = local;
   merge_new_informed(fresh_count);
   if constexpr (kSparse) {
+    std::size_t increments = 0;
     for (std::size_t i = 0; i < fresh_count; ++i) {
-      InformedNeighbors::raise(draw, informed_neighbors, fresh[i]);
+      increments +=
+          InformedNeighbors::raise(draw, informed_neighbors, fresh[i]);
     }
-    neighbors_.end_round(live);
+    neighbors_.end_round(sends, live, increments);
   }
   transmissions_ += sends;
   if (sends > 0) peak_ = 1;

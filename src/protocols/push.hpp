@@ -32,14 +32,17 @@ struct PushOptions {
 /// kept sorted, which is also what lets the batched engine's
 /// vertex-ordered bit-plane scan replay the exact same stream).
 ///
-/// A fault-free trial starts sparse: each vertex counts its informed
-/// neighbours (InformedNeighbors, core/vertex_set.hpp), and a sender whose
-/// neighbours are all informed is quiet — its push cannot inform anyone,
-/// so it only advances the RNG past the draw (Draws::advance), leaving
-/// the stream draw-for-draw as it was. Once a round's live (non-quiet)
-/// senders exceed n/8 — an expander's frontier, not a lattice's — the
-/// trial drops the counts and finishes on the dense round, which draws
-/// for every sender.
+/// A fault-free trial with weighted draws starts sparse: each vertex
+/// counts its informed neighbours (InformedNeighbors, core/vertex_set.hpp),
+/// and a sender whose neighbours are all informed is quiet — its push
+/// cannot inform anyone, so its draw's result is thrown away unread, which
+/// drops the alias coin's branch and the reads behind it while the stream
+/// stays draw-for-draw as it was. The trial drops the counts and finishes
+/// on the dense round, which draws for every sender, once they cost more
+/// than they skip: when its increments pass n plus its quiet senders so
+/// far (a complete graph, at its first informee) or a round's live senders
+/// pass n/8 (an expander's frontier, not a lattice's). Uniform draws are
+/// dense throughout: a quiet uniform draw would skip only cached reads.
 ///
 /// Under faults (core/faults.hpp) every round is dense: down senders skip
 /// the round (informed membership is monotone, so nothing needs

@@ -82,7 +82,9 @@ void PushPullProcess::step_with(Rng& rng, Faults& faults) {
     if (push ? !faults.can_send(v) : !faults.can_receive(v)) continue;
     ++contacts;
     if (kSparse && informed_neighbors[v] == (push ? degree : 0)) {
-      draw.advance(degree, local);  // quiet: no neighbour differs from v
+      // Quiet: no neighbour differs from v, so only the draw's RNG
+      // consumption matters.
+      (void)draw.draw_index(begin, degree, local);
       continue;
     }
     ++live;
@@ -102,15 +104,18 @@ void PushPullProcess::step_with(Rng& rng, Faults& faults) {
   }
   rng = local;
   std::size_t fresh = 0;
+  std::size_t increments = 0;
   for (Vertex v = 0; v < n; ++v) {
     const char state = informed[v];
     informed[v] = static_cast<char>(state != 0);
     fresh += static_cast<std::size_t>(state >> 1);
     if constexpr (kSparse) {
-      if (state == 2) InformedNeighbors::raise(draw, informed_neighbors, v);
+      if (state == 2) {
+        increments += InformedNeighbors::raise(draw, informed_neighbors, v);
+      }
     }
   }
-  if constexpr (kSparse) neighbors_.end_round(live);
+  if constexpr (kSparse) neighbors_.end_round(contacts, live, increments);
   count_ += fresh;
   transmissions_ += contacts;
   if (contacts > 0) peak_ = 1;

@@ -27,15 +27,18 @@ struct PushPullOptions {
 /// RNG stream is draw-for-draw identical to the legacy run_push_pull
 /// (every positive-degree vertex contacts once, in ascending order).
 ///
-/// A fault-free trial starts sparse: each vertex counts its informed
-/// neighbours (InformedNeighbors, core/vertex_set.hpp), and a vertex whose
-/// neighbours all share its state is quiet — an informed one pushes to an
-/// informed neighbour, an uninformed one pulls from an uninformed one —
-/// so it only advances the RNG past its draw (Draws::advance), leaving
-/// the stream draw-for-draw as it was. On a lattice almost every contact
-/// is quiet; once a round's live (non-quiet) contacts exceed n/8 — an
-/// expander's boundary — the trial drops the counts and finishes on the
-/// dense round, which draws for every contact.
+/// A fault-free trial with weighted draws starts sparse: each vertex
+/// counts its informed neighbours (InformedNeighbors, core/vertex_set.hpp),
+/// and a vertex whose neighbours all share its state is quiet — an
+/// informed one pushes to an informed neighbour, an uninformed one pulls
+/// from an uninformed one — so its draw's result is thrown away unread,
+/// which drops the alias coin's branch and the reads behind it while the
+/// stream stays draw-for-draw as it was. On a lattice almost every contact
+/// is quiet. The trial drops the counts and finishes on the dense round,
+/// which draws for every contact, once they cost more than they skip:
+/// when its increments pass n plus its quiet contacts so far or a round's
+/// live contacts pass n/8 (an expander's boundary). Uniform draws are
+/// dense throughout: a quiet uniform draw would skip only cached reads.
 ///
 /// Under faults (core/faults.hpp) every round is dense: a down vertex
 /// makes no contact; pushes inform on delivery, and pulls

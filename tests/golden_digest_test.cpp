@@ -31,10 +31,12 @@
 //      substrate threads 1, 4 and 8;
 //  (f) push-family cells: push and push-pull round by round and per
 //      trial, stepped and through run(), faults off and at drop 0.2, on
-//      the inputs their quiet-contact skip branches on — a torus that
-//      stays sparse to the end (uniform and alias draws), an irregular
-//      lollipop, an expander that turns dense mid-trial, and a graph with
-//      an isolated vertex that runs quiet rounds up to its budget.
+//      the inputs their quiet-contact skip branches on, with uniform
+//      draws (dense throughout) and alias draws (sparse while it pays) —
+//      a torus that stays sparse to the end, an irregular lollipop, an
+//      expander that turns dense mid-trial, a graph with an isolated
+//      vertex that runs quiet rounds up to its budget, and a complete
+//      graph whose counts cost more than they skip.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -942,7 +944,7 @@ void expect_push_family_digests(const std::vector<PushFamilyCell>& cells) {
   }
 }
 
-TEST(GoldenDigest, PushFamilyOnAnExpWeightedTorusThatStaysSparse) {
+TEST(GoldenDigest, PushFamilyOnAnExpWeightedTorus) {
   Graph torus = gen::torus({64, 64});
   gen::generate_weights(torus, gen::WeightKind::kExp, 17);
   const ProcessParams uniform = {{"max_rounds", "2048"}};
@@ -959,7 +961,7 @@ TEST(GoldenDigest, PushFamilyOnAnExpWeightedTorusThatStaysSparse) {
   });
 }
 
-TEST(GoldenDigest, PushFamilyOnALollipopAndAnExpanderThatTurnsDense) {
+TEST(GoldenDigest, PushFamilyOnALollipopAndAnExpander) {
   const Graph lollipop = gen::lollipop(40, 60);
   const Graph g = expander(4096);
   const ProcessParams params = {{"max_rounds", "2048"}};
@@ -983,6 +985,54 @@ TEST(GoldenDigest, PushFamilyWithAnIsolatedVertexUpToTheRoundBudget) {
        0x9f2cf7fe5b22e3b0ULL, 0xb14280fb1b4a2029ULL},
       {&g, "isolated", "push-pull", budget,
        0xdb06754553367502ULL, 0x924e1914ea638cf6ULL},
+  });
+}
+
+/// Only weighted draws start a trial sparse, so the inputs above are
+/// repeated exp-weighted with alias draws.
+TEST(GoldenDigest, PushFamilyWithAliasDrawsOnEveryInput) {
+  Graph lollipop = gen::lollipop(40, 60);
+  Graph g = expander(4096);
+  Graph isolated = with_isolated_vertex(gen::torus({64, 64}));
+  for (Graph* graph : {&lollipop, &g, &isolated}) {
+    gen::generate_weights(*graph, gen::WeightKind::kExp, 17);
+  }
+  const ProcessParams alias = {{"weighted", "1"}, {"max_rounds", "2048"}};
+  const ProcessParams budget = {{"weighted", "1"}, {"max_rounds", "200"}};
+  expect_push_family_digests({
+      {&lollipop, "alias lollipop", "push", alias,
+       0xa7eab205467cca2fULL, 0x0fbfac3ca84f24d6ULL},
+      {&lollipop, "alias lollipop", "push-pull", alias,
+       0x8617bed217373796ULL, 0xf311de93b280a3d9ULL},
+      {&g, "alias expander", "push", alias,
+       0x724e122dfea76a71ULL, 0x03d7bf51ffd3c0d1ULL},
+      {&g, "alias expander", "push-pull", alias,
+       0x92e82a1b6bb7b469ULL, 0x517e4873529c5fe1ULL},
+      {&isolated, "alias isolated", "push", budget,
+       0x2f778ef7f70da8d3ULL, 0x679646bc48c1c08eULL},
+      {&isolated, "alias isolated", "push-pull", budget,
+       0x782886a8f33ab994ULL, 0x0aa7b1be8bb764d1ULL},
+  });
+}
+
+/// On a complete graph every push sender stays live until the last round
+/// and each informee raises n - 1 counts, so a weighted trial leaves
+/// sparse mode after its first informee.
+TEST(GoldenDigest, PushFamilyOnACompleteGraph) {
+  const Graph uniform = gen::complete(512);
+  Graph weighted = gen::complete(512);
+  gen::generate_weights(weighted, gen::WeightKind::kExp, 17);
+  const ProcessParams params = {{"max_rounds", "2048"}};
+  const ProcessParams alias = {{"weighted", "1"}, {"max_rounds", "2048"}};
+  expect_push_family_digests({
+      {&uniform, "complete", "push", params,
+       0x7349c0edbdb88b08ULL, 0xd09d9fd9c6a4f25dULL},
+      {&uniform, "complete", "push-pull", params,
+       0x5e7738b6ac9cd35bULL, 0xfcca3e08dabb3588ULL},
+      {&weighted, "alias complete", "push", alias,
+       0xb3df418dbd67b250ULL, 0x7e010e0baa952866ULL},
+      {&weighted, "alias complete", "push-pull", alias,
+       0xff248596ac1864b9ULL, 0x26d8490dbb0c9728ULL},
   });
 }
 

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vertex_set.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "protocols/flood.hpp"
 #include "protocols/push.hpp"
 #include "protocols/push_pull.hpp"
@@ -123,6 +125,42 @@ TEST(PushPull, InformedNeverDecreases) {
   for (std::size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GE(result.curve[i], result.curve[i - 1]);
   }
+}
+
+// The push family's sparse-mode rule (InformedNeighbors): it decides only
+// speed, so the digests cannot see it; these pin where it switches.
+
+TEST(InformedNeighbors, OnlyFaultFreeTrialsWithWeightedDrawsStartSparse) {
+  Graph g = gen::torus({8, 8});
+  InformedNeighbors counts;
+  counts.count.resize(g.num_vertices());
+  counts.reset(draws_of(g, nullptr), 0, true);
+  EXPECT_FALSE(counts.sparse);
+  gen::generate_weights(g, gen::WeightKind::kExp, 17);
+  const Draws alias = draws_of(g, &g.alias_tables());
+  counts.reset(alias, 0, false);
+  EXPECT_FALSE(counts.sparse);
+  counts.reset(alias, 0, true);
+  ASSERT_TRUE(counts.sparse);
+  for (const Vertex w : g.neighbors(0)) EXPECT_EQ(counts.count[w], 1u);
+  // Live contacts up to n/8 keep the trial sparse; one more ends it.
+  counts.end_round(64, 8, 4);
+  EXPECT_TRUE(counts.sparse);
+  counts.end_round(64, 9, 0);
+  EXPECT_FALSE(counts.sparse);
+}
+
+TEST(InformedNeighbors, IncrementsPastNPlusTheQuietContactsEndSparseMode) {
+  Graph g = gen::complete(64);
+  gen::generate_weights(g, gen::WeightKind::kExp, 17);
+  InformedNeighbors counts;
+  counts.count.resize(g.num_vertices());
+  counts.reset(draws_of(g, &g.alias_tables()), 0, true);
+  ASSERT_TRUE(counts.sparse);
+  // Push's first round: the start's one live contact informs a vertex
+  // whose 63 increments overdraw the 64 - 63 the start's left.
+  counts.end_round(1, 1, 63);
+  EXPECT_FALSE(counts.sparse);
 }
 
 TEST(Flood, RoundsEqualEccentricity) {

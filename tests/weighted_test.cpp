@@ -20,7 +20,6 @@
 #include "core/cobra.hpp"
 #include "core/process_factory.hpp"
 #include "core/sis.hpp"
-#include "core/vertex_set.hpp"
 #include "protocols/branching_walk.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -343,54 +342,6 @@ TEST(GraphAlias, IrregularFileGraphTablesAreExact) {
   Graph g = read_edge_list(buffer, "irregular");
   expect_exact_vertex_tables(g);
   expect_draws_match_weights(g, 0, 4242);
-}
-
-/// One draw of `degree` entries at CSR slot `begin`: Draws::advance must
-/// leave `advanced` exactly where Draws::draw_index leaves `drawn`.
-/// Returns 1 if the draw took a Lemire rejection redraw (more than one
-/// output for the slot), else 0.
-std::size_t expect_advance_matches_draw_index(const Draws& draws,
-                                              std::size_t begin,
-                                              std::uint32_t degree,
-                                              Rng& drawn, Rng& advanced) {
-  Rng one_output = drawn;
-  (void)one_output();
-  if (draws.alias != nullptr) (void)one_output();  // the alias coin
-  (void)draws.draw_index(begin, degree, drawn);
-  draws.advance(degree, advanced);
-  EXPECT_EQ(drawn.state(), advanced.state()) << "degree " << degree;
-  return drawn.state() != one_output.state() ? 1 : 0;
-}
-
-TEST(GraphAlias, AdvanceConsumesTheRngExactlyAsDrawIndex) {
-  constexpr std::size_t kDraws = 100000;
-  // Uniform draws. At 3 * 2^30 a quarter of the draws are redrawn, at
-  // 2^31 + 1 nearly half.
-  const Draws uniform;
-  for (const std::uint32_t bound :
-       {1u, 3u, 4u, 7u, 3u << 30, (1u << 31) + 1}) {
-    Rng drawn(bound);
-    Rng advanced(bound);
-    std::size_t redrawn = 0;
-    for (std::size_t i = 0; i < kDraws; ++i) {
-      redrawn +=
-          expect_advance_matches_draw_index(uniform, 0, bound, drawn, advanced);
-    }
-    if (bound > (1u << 30)) EXPECT_GT(redrawn, kDraws / 5) << bound;
-  }
-  // Alias draws at every vertex of an exp-weighted lollipop.
-  Graph g = gen::lollipop(40, 60);
-  gen::generate_weights(g, gen::WeightKind::kExp, 17);
-  const Draws alias = draws_of(g, &g.alias_tables());
-  Rng drawn(7);
-  Rng advanced(7);
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    std::uint32_t degree = 0;
-    std::size_t begin = 0;
-    (void)alias.neighbor_block(static_cast<Vertex>(i % g.num_vertices()),
-                               degree, begin);
-    expect_advance_matches_draw_index(alias, begin, degree, drawn, advanced);
-  }
 }
 
 // ---- weight generators ----
